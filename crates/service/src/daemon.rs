@@ -33,6 +33,12 @@
 //! refusal carries the scheduler's retry-after hint, so the client
 //! knows when capacity is expected to free up.
 //!
+//! **Waiting.** No thread waits by sleeping: the scheduling loop, the
+//! `wait`/`watch` handlers and the heartbeat senders park on a [`Wake`]
+//! (generation counter + condvar) that the event they wait for moves,
+//! and the listener blocks in `accept` until shutdown connects to it.
+//! `docs/ARCHITECTURE.md` names the wake edges.
+//!
 //! **Scheduling.** Which queued job a freed slot runs is the
 //! [`crate::sched`] subsystem's decision: PE 0 drives a
 //! [`SchedCore`] (policy + tenant quotas + deadline expiry + adaptive
@@ -44,7 +50,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -89,10 +95,13 @@ pub struct ServiceConfig {
     /// Maximum queued-but-not-admitted jobs before submissions are
     /// refused with `busy`.
     pub queue_cap: usize,
-    /// Completed receipts retained for `poll`/`wait` (oldest evicted
-    /// first) — bounds the registry of a long-lived service. Clients
-    /// should collect receipts promptly; polling an evicted job returns
-    /// an unknown-id error.
+    /// Completed receipts retained in memory for `poll`/`wait` (oldest
+    /// evicted first) — bounds the registry of a long-lived service.
+    /// With a ledger the invariant is *index resident, receipts on
+    /// disk; resident receipts ≤ `receipt_cap`*: the ledger keeps an
+    /// offset per record and reads an evicted or replayed receipt back
+    /// from its file. Without one, clients should collect receipts
+    /// promptly; polling an evicted job returns an unknown-id error.
     pub receipt_cap: usize,
     /// Which scheduling policy decides slot assignment. The default
     /// [`PolicyCfg::Fifo`] is byte-identical to the PR-4 admission loop.
@@ -219,10 +228,61 @@ pub struct ServiceSummary {
 
 type Registry = Arc<Mutex<HashMap<u64, JobStatus>>>;
 
+/// The daemon's one wake primitive: a generation counter under a mutex
+/// plus a condvar, so no thread waits by sleeping. A waiter reads the
+/// generation *before* it checks the state it waits on and then blocks
+/// only while the generation is still the one it read — a `notify`
+/// landing between the check and the wait has already moved the
+/// counter, so it is never lost.
+#[derive(Default)]
+struct Wake {
+    generation: Mutex<u64>,
+    moved: Condvar,
+}
+
+impl Wake {
+    fn generation(&self) -> u64 {
+        *self.generation.lock().expect("wake poisoned")
+    }
+
+    fn notify(&self) {
+        *self.generation.lock().expect("wake poisoned") += 1;
+        self.moved.notify_all();
+    }
+
+    /// Block until the generation is no longer `seen`, or for `timeout`
+    /// if one is given.
+    fn wait_past(&self, seen: u64, timeout: Option<Duration>) {
+        let generation = self.generation.lock().expect("wake poisoned");
+        match timeout {
+            None => drop(
+                self.moved
+                    .wait_while(generation, |g| *g == seen)
+                    .expect("wake poisoned"),
+            ),
+            Some(timeout) => drop(
+                self.moved
+                    .wait_timeout_while(generation, timeout, |g| *g == seen)
+                    .expect("wake poisoned"),
+            ),
+        }
+    }
+}
+
+/// Passes of PE 0's scheduling loop (`service.sched.wakeups`): an idle
+/// daemon makes one per watch-sample tick, a busy one a few per job.
+fn sched_wakeups() -> &'static ccheck_obs::Counter {
+    static WAKEUPS: OnceLock<Arc<ccheck_obs::Counter>> = OnceLock::new();
+    WAKEUPS.get_or_init(|| ccheck_obs::registry().counter("service.sched.wakeups"))
+}
+
 /// One in-flight job's local state.
 struct Slot {
+    job_id: u64,
+    /// Set by the worker as its last act before it returns.
     done: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
+    /// The worker returns rank 0's sealed receipt (`None` elsewhere).
+    handle: JoinHandle<Option<Receipt>>,
 }
 
 /// Shared state between PE 0's daemon loop and its listener threads.
@@ -245,6 +305,16 @@ struct Frontend {
     /// completed enqueue.
     submitting: AtomicUsize,
     stopping: AtomicBool,
+    /// Wakes the scheduling loop: a completed enqueue (and `submitting`
+    /// falling), a slot worker finishing, a parked `metrics`/`timeline`
+    /// waiter, a shutdown request.
+    sched_wake: Wake,
+    /// Wakes `wait` handlers: a job finished (done or refused), or the
+    /// daemon is stopping.
+    status_wake: Wake,
+    /// Wakes `watch` long-polls: a sample was pushed, or the daemon is
+    /// stopping.
+    sample_wake: Wake,
     /// Finished (done or refused) job ids in finish order, for
     /// registry eviction.
     done_order: Mutex<VecDeque<u64>>,
@@ -329,21 +399,33 @@ impl Frontend {
     /// finished entries beyond `receipt_cap` so the registry stays
     /// bounded over the service's lifetime.
     fn finish(&self, job_id: u64, status: JobStatus) {
-        let mut registry = self.registry.lock().expect("registry poisoned");
-        let mut done_order = self.done_order.lock().expect("done order poisoned");
-        registry.insert(job_id, status);
-        done_order.push_back(job_id);
-        while done_order.len() > self.receipt_cap {
-            let evicted = done_order.pop_front().expect("non-empty");
-            registry.remove(&evicted);
+        {
+            let mut registry = self.registry.lock().expect("registry poisoned");
+            let mut done_order = self.done_order.lock().expect("done order poisoned");
+            registry.insert(job_id, status);
+            done_order.push_back(job_id);
+            while done_order.len() > self.receipt_cap {
+                let evicted = done_order.pop_front().expect("non-empty");
+                registry.remove(&evicted);
+            }
         }
+        self.status_wake.notify();
+    }
+
+    /// Mark the daemon stopped and release every parked `wait` and
+    /// `watch` handler.
+    fn stop(&self) {
+        self.stopping.store(true, Ordering::Release);
+        self.status_wake.notify();
+        self.sample_wake.notify();
     }
 
     /// Record a completed job: seal it into the ledger first (the
     /// durable record is the authoritative one), then scheduler
-    /// feedback (tenant accounting, adaptive tuner), aggregates, and
-    /// finally the client-visible receipt.
-    fn record_done(&self, job_id: u64, mut receipt: crate::job::Receipt) {
+    /// feedback (tenant accounting, adaptive tuner) and aggregates.
+    /// Returns the sealed receipt, which the scheduling loop publishes
+    /// with [`Frontend::finish`] once it has joined the worker.
+    fn record_done(&self, job_id: u64, mut receipt: crate::job::Receipt) -> Receipt {
         // The §7 idempotency key is the *submitted* spec's fingerprint
         // (recorded at enqueue), not the broadcast spec's — an adaptive
         // job runs with tuner-resolved knobs, but resubmission dedupe
@@ -391,7 +473,7 @@ impl Frontend {
                 .or_default()
                 .absorb(&receipt);
         }
-        self.finish(job_id, JobStatus::Done(receipt));
+        receipt
     }
 
     /// Record a queued job the scheduler refused (deadline expiry).
@@ -421,13 +503,14 @@ impl Frontend {
         }
         let ledger = self.ledger.as_ref()?;
         let ledger = ledger.lock().expect("ledger poisoned");
-        ledger.get(job_id).map(|r| JobStatus::Done(r.clone()))
+        ledger.get(job_id).map(JobStatus::Done)
     }
 
-    /// One watchdog pass, run from every iteration of PE 0's scheduling
-    /// loop: rank 0's self-beat, liveness-transition logging, gauge
-    /// export, the straggler scan, and (on the heartbeat cadence) one
-    /// `watch` sample pushed into the ring.
+    /// One watchdog pass, run from every pass of PE 0's scheduling loop
+    /// (each event, and at least once per heartbeat interval): rank 0's
+    /// self-beat, liveness-transition logging, gauge export, the
+    /// straggler scan, and (on the heartbeat cadence) one `watch` sample
+    /// pushed into the ring.
     fn tick(&self) {
         let now = self.now_ms();
         let self_beat = Heartbeat {
@@ -489,7 +572,7 @@ impl Frontend {
                 .extend(slow);
         }
         // One watch sample per heartbeat interval (the tick itself runs
-        // every loop iteration, ~1 ms).
+        // on every scheduling-loop pass).
         let interval = self.health_cfg.heartbeat_interval_ms.max(1);
         let last = self.last_sample_ms.load(Ordering::Acquire);
         if now >= last.saturating_add(interval)
@@ -535,6 +618,7 @@ impl Frontend {
                 .lock()
                 .expect("samples poisoned")
                 .push(sample.clone());
+            self.sample_wake.notify();
             // SLO pass over the stamped sample: breach transitions get
             // warn logs here; gauges/counters update inside the engine.
             let events = {
@@ -625,7 +709,7 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
 
     // PE 0: client frontend.
     let mut frontend: Option<Arc<Frontend>> = None;
-    let mut listener_handle: Option<JoinHandle<()>> = None;
+    let mut listener: Option<(JoinHandle<()>, SocketAddr)> = None;
     if rank == 0 {
         let mut sched = SchedCore::new(&cfg.policy, cfg.queue_cap, cfg.max_inflight);
         let mut agg: BTreeMap<String, TenantAgg> = BTreeMap::new();
@@ -633,9 +717,16 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
         // restarted world must resume the dead one's adaptive-tuner
         // rungs, tenant aggregates, and id/admission numbering exactly
         // (`docs/PROTOCOL.md` §6.4).
+        // The refold rides the replay as a visitor: the ledger keeps an
+        // index, not the receipts, so nothing of the replayed log stays
+        // resident past this call.
         let ledger = cfg.ledger_path.as_ref().map(|path| {
-            Ledger::open(path)
-                .unwrap_or_else(|e| panic!("ccheck-serve: cannot open ledger {path:?}: {e}"))
+            Ledger::open_with(path, |receipt| {
+                let tenant = receipt.tenant.clone().unwrap_or_default();
+                sched.replay_verdict(&tenant, receipt.verdict);
+                agg.entry(tenant).or_default().absorb(receipt);
+            })
+            .unwrap_or_else(|e| panic!("ccheck-serve: cannot open ledger {path:?}: {e}"))
         });
         let (mut next_id, mut admit_base) = (1, 0);
         // Watch samples publish *cumulative* completion counters, and
@@ -646,11 +737,6 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
         // spuriously resolve a firing error-budget objective.
         let mut done_base = 0u64;
         if let Some(ledger) = &ledger {
-            for receipt in ledger.entries() {
-                let tenant = receipt.tenant.clone().unwrap_or_default();
-                sched.replay_verdict(&tenant, receipt.verdict);
-                agg.entry(tenant).or_default().absorb(receipt);
-            }
             next_id = ledger.max_job_id() + 1;
             admit_base = ledger.max_admit_seq();
             done_base = ledger.len() as u64;
@@ -725,6 +811,9 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
             accepting: AtomicBool::new(true),
             submitting: AtomicUsize::new(0),
             stopping: AtomicBool::new(false),
+            sched_wake: Wake::default(),
+            status_wake: Wake::default(),
+            sample_wake: Wake::default(),
             done_order: Mutex::new(VecDeque::new()),
             receipt_cap: cfg.receipt_cap,
             agg: Mutex::new(agg),
@@ -750,7 +839,7 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
             alerts_active: AtomicU64::new(alerts_active),
             last_metrics_wall_ms: AtomicU64::new(0),
         });
-        listener_handle = Some(spawn_listener(cfg, Arc::clone(&fe)));
+        listener = Some(spawn_listener(cfg, Arc::clone(&fe)));
         frontend = Some(fe);
     }
 
@@ -759,7 +848,10 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
     // collective. Non-zero ranks run a sender thread; rank 0 runs one
     // collector draining beats from *any* peer (a single stopped PE
     // must not starve the others' beats — that stall is the signal).
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    // The senders' stop flag is a `Wake` whose generation leaves 0 at
+    // teardown, so a sender between beats sleeps in a timed wait that
+    // teardown cuts short.
+    let hb_stop = Arc::new(Wake::default());
     let mut hb_handle: Option<JoinHandle<()>> = None;
     if size > 1 {
         let mut hb_comm = mux.scoped(HEALTH_SCOPE, "health");
@@ -833,7 +925,7 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
                     .spawn(move || {
                         let t0 = Instant::now();
                         loop {
-                            let bye = stop.load(Ordering::Acquire);
+                            let bye = stop.generation() != 0;
                             hb_comm.send(
                                 0,
                                 HEARTBEAT_TAG,
@@ -848,14 +940,7 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
                             if bye {
                                 break;
                             }
-                            // Chunked sleep so shutdown never waits out a
-                            // full heartbeat interval.
-                            let mut slept = 0;
-                            while slept < interval && !stop.load(Ordering::Acquire) {
-                                let step = (interval - slept).min(20);
-                                std::thread::sleep(Duration::from_millis(step));
-                                slept += step;
-                            }
+                            stop.wait_past(0, Some(Duration::from_millis(interval)));
                         }
                     })
                     .expect("spawn heartbeat sender"),
@@ -872,7 +957,7 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
         // PE 0 decides the next control action; everyone learns it via
         // the broadcast (non-roots pass a placeholder).
         let decision = if let Some(fe) = &frontend {
-            next_action(fe, &slots)
+            next_action(fe, &mut slots)
         } else {
             CtlMsg::Shutdown
         };
@@ -886,9 +971,10 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
                 spec,
             } => {
                 let slot_idx = slot as usize;
-                // Reclaim the slot's previous worker (PE 0 only admits
-                // into slots whose job finished globally, so this join
-                // does not block on communication).
+                // Reclaim the slot's previous worker (rank 0 reaped it
+                // before admitting, and only admits into slots whose job
+                // finished globally, so this join does not block on
+                // communication).
                 if let Some(old) = slots[slot_idx].take() {
                     let _ = old.handle.join();
                 }
@@ -967,13 +1053,23 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
                         if let Some(snapshot) = root_stats.retire_scope(&format!("job-{job_id}")) {
                             worker_retired.fetch_add(snapshot.total_bytes(), Ordering::Relaxed);
                         }
-                        if let Some(fe) = worker_frontend {
-                            fe.record_done(job_id, receipt);
-                        }
+                        let sealed = worker_frontend
+                            .as_ref()
+                            .map(|fe| fe.record_done(job_id, receipt));
                         worker_done.store(true, Ordering::Release);
+                        // Rank 0's scheduling loop reaps the slot: joins
+                        // this thread, publishes the receipt, admits.
+                        if let Some(fe) = &worker_frontend {
+                            fe.sched_wake.notify();
+                        }
+                        sealed
                     })
                     .expect("spawn job worker");
-                slots[slot_idx] = Some(Slot { done, handle });
+                slots[slot_idx] = Some(Slot {
+                    job_id,
+                    done,
+                    handle,
+                });
             }
             CtlMsg::Metrics => {
                 // Two collectives, same order on every PE: the obs
@@ -1055,7 +1151,7 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
     // beat, and the collector exits once every peer has said bye or
     // vanished — all before the control scope's final collectives, so
     // the health scope is quiet when the mux shuts down.
-    hb_stop.store(true, Ordering::Release);
+    hb_stop.notify();
     if let Some(handle) = hb_handle {
         let _ = handle.join();
     }
@@ -1078,7 +1174,7 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
     drop(ctl);
     mux.shutdown();
     if let Some(fe) = &frontend {
-        fe.stopping.store(true, Ordering::Release);
+        fe.stop();
         // Flush the fsync batches: a cleanly drained world leaves every
         // sealed receipt and every telemetry record durable.
         if let Some(ledger) = &fe.ledger {
@@ -1088,8 +1184,25 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
             let _ = history.lock().expect("history poisoned").sync();
         }
     }
-    if let Some(handle) = listener_handle {
-        let _ = handle.join();
+    if let Some((handle, addr)) = listener {
+        // The listener blocks in `accept`; a connection to its own
+        // address is what makes it look at `stopping`. (A wildcard bind
+        // is reached through loopback.)
+        let mut addr = addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        match TcpStream::connect_timeout(&addr, Duration::from_secs(5)) {
+            Ok(_) => {
+                let _ = handle.join();
+            }
+            // Unreachable listener: leave its thread parked rather than
+            // hang the shutdown on a join that cannot finish.
+            Err(e) => ccheck_obs::error!("service", "cannot wake the listener at {addr}: {e}"),
+        }
     }
     let mut receipts: Vec<crate::job::Receipt> = Vec::new();
     let mut tenants: Vec<(String, TenantAgg)> = Vec::new();
@@ -1233,8 +1346,37 @@ fn timeline_json(job_id: u64, traces: &[ccheck_obs::TraceSnapshot]) -> Json {
 /// PE 0's scheduling loop: block until there is something to broadcast.
 /// Every decision is the [`SchedCore`]'s: deadline expiry first (jobs
 /// refused while queued), then — if a slot is free — the policy's pick.
-fn next_action(fe: &Arc<Frontend>, slots: &[Option<Slot>]) -> CtlMsg {
+///
+/// Event-driven: with nothing to do the loop parks on `sched_wake`
+/// until an enqueue, a finished worker, a parked `metrics`/`timeline`
+/// waiter or a shutdown request moves it, or until the earlier of the
+/// next watch-sample tick and the earliest queued deadline — the two
+/// things that happen by the clock alone.
+fn next_action(fe: &Arc<Frontend>, slots: &mut [Option<Slot>]) -> CtlMsg {
     loop {
+        // Read before looking at any state: whatever changes after this
+        // line moves the generation and cuts the wait below short.
+        let seen = fe.sched_wake.generation();
+        if ccheck_obs::enabled() {
+            sched_wakeups().inc();
+        }
+        // Reap finished workers: join the thread, *then* publish its
+        // receipt. A client answers a receipt within microseconds, and
+        // whatever it starts next must not race the worker's exit for
+        // the slot, the stack or the allocator arena the job held
+        // (glibc hands a new thread the most recently released arena:
+        // announced from inside the worker, a job's heap could be
+        // adopted by an unrelated thread and a fresh one grown for the
+        // next job, up to +50 MB resident on 2M-element jobs).
+        for slot in slots.iter_mut() {
+            if let Some(Slot { job_id, handle, .. }) =
+                slot.take_if(|s| s.done.load(Ordering::Acquire))
+            {
+                if let Ok(Some(sealed)) = handle.join() {
+                    fe.finish(job_id, JobStatus::Done(sealed));
+                }
+            }
+        }
         // The watchdog pass rides the scheduling loop: self-beat,
         // straggler scan, liveness-transition logs, watch samples.
         fe.tick();
@@ -1260,18 +1402,20 @@ fn next_action(fe: &Arc<Frontend>, slots: &[Option<Slot>]) -> CtlMsg {
             return CtlMsg::Trace { job_id };
         }
         let now = fe.now_ms();
-        let free = slots.iter().position(|slot| match slot {
-            None => true,
-            Some(s) => s.done.load(Ordering::Acquire),
-        });
-        let (expired, admission, queue_empty) = {
+        let free = slots.iter().position(Option::is_none);
+        let (expired, admission, queue_empty, next_deadline) = {
             let mut sched = fe.sched.lock().expect("scheduler poisoned");
             let expired = sched.take_expired(now);
             let admission = match free {
                 Some(_) => sched.pick(now),
                 None => None,
             };
-            (expired, admission, sched.queue_is_empty())
+            (
+                expired,
+                admission,
+                sched.queue_is_empty(),
+                sched.next_deadline_ms(),
+            )
         };
         for (job_id, tenant, reason) in expired {
             fe.record_refused(job_id, &tenant, reason);
@@ -1287,18 +1431,22 @@ fn next_action(fe: &Arc<Frontend>, slots: &[Option<Slot>]) -> CtlMsg {
                 spec: admission.spec,
             };
         }
-        let drained = queue_empty
-            && slots
-                .iter()
-                .all(|s| s.as_ref().is_none_or(|s| s.done.load(Ordering::Acquire)));
+        // Every slot reaped, not merely finished: a receipt is published
+        // by the reap above, never by the shutdown path.
+        let drained = queue_empty && slots.iter().all(Option::is_none);
         if fe.shutdown_requested.load(Ordering::Acquire) && drained {
             // Fence against racing submissions: stop accepting, wait out
-            // any handler already past its `accepting` check, then take
-            // one final look at the queue. Anything that slipped in gets
-            // run (it was acknowledged); only then commit to Shutdown.
+            // any handler already past its `accepting` check (each wakes
+            // this loop as it leaves), then take one final look at the
+            // queue. Anything that slipped in gets run (it was
+            // acknowledged); only then commit to Shutdown.
             fe.accepting.store(false, Ordering::Release);
-            while fe.submitting.load(Ordering::Acquire) > 0 {
-                std::thread::sleep(Duration::from_millis(1));
+            loop {
+                let seen = fe.sched_wake.generation();
+                if fe.submitting.load(Ordering::Acquire) == 0 {
+                    break;
+                }
+                fe.sched_wake.wait_past(seen, None);
             }
             if fe
                 .sched
@@ -1310,13 +1458,22 @@ fn next_action(fe: &Arc<Frontend>, slots: &[Option<Slot>]) -> CtlMsg {
             }
             continue;
         }
-        std::thread::sleep(Duration::from_millis(1));
+        // Nothing to broadcast: park until an event, the next sample
+        // tick or the earliest queued deadline, whichever is first.
+        let next_sample = fe
+            .last_sample_ms
+            .load(Ordering::Acquire)
+            .saturating_add(fe.health_cfg.heartbeat_interval_ms.max(1));
+        let until = next_deadline.map_or(next_sample, |d| d.min(next_sample));
+        fe.sched_wake
+            .wait_past(seen, Some(Duration::from_millis(until.saturating_sub(now))));
     }
 }
 
 /// Bind the client listener, publish its address, and serve connections
-/// until the daemon stops.
-fn spawn_listener(cfg: &ServiceConfig, fe: Arc<Frontend>) -> JoinHandle<()> {
+/// until the daemon stops. Returns the bound address too: `accept`
+/// blocks, and a connection to that address is how shutdown wakes it.
+fn spawn_listener(cfg: &ServiceConfig, fe: Arc<Frontend>) -> (JoinHandle<()>, SocketAddr) {
     let listener = TcpListener::bind(&cfg.listen)
         .unwrap_or_else(|e| panic!("ccheck-serve: cannot bind {}: {e}", cfg.listen));
     let addr = listener.local_addr().expect("listener address");
@@ -1329,39 +1486,34 @@ fn spawn_listener(cfg: &ServiceConfig, fe: Arc<Frontend>) -> JoinHandle<()> {
     if let Some(announce) = &cfg.announce {
         let _ = announce.send(addr);
     }
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    std::thread::Builder::new()
+    let handle = std::thread::Builder::new()
         .name("ccheck-serve-listener".into())
         .spawn(move || {
             let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-            while !fe.stopping.load(Ordering::Acquire) {
+            while let Ok((stream, _)) = listener.accept() {
+                // The connection that arrives after `stopping` is the
+                // daemon's own wake-up call.
+                if fe.stopping.load(Ordering::Acquire) {
+                    break;
+                }
                 // Reap closed connections so a long-lived service doesn't
                 // accumulate one handle per one-shot client forever
                 // (dropping a finished handle releases the thread).
                 handlers.retain(|h| !h.is_finished());
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let fe = Arc::clone(&fe);
-                        handlers.push(
-                            std::thread::Builder::new()
-                                .name("ccheck-serve-client".into())
-                                .spawn(move || serve_connection(stream, &fe))
-                                .expect("spawn client handler"),
-                        );
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
+                let fe = Arc::clone(&fe);
+                handlers.push(
+                    std::thread::Builder::new()
+                        .name("ccheck-serve-client".into())
+                        .spawn(move || serve_connection(stream, &fe))
+                        .expect("spawn client handler"),
+                );
             }
             for handler in handlers {
                 let _ = handler.join();
             }
         })
-        .expect("spawn listener thread")
+        .expect("spawn listener thread");
+    (handle, addr)
 }
 
 fn respond(stream: &mut TcpStream, v: &Json) -> std::io::Result<()> {
@@ -1483,14 +1635,14 @@ fn handle_submit(fe: &Arc<Frontend>, spec: JobSpec) -> Json {
                 let ledger = ledger.lock().expect("ledger poisoned");
                 if let Some(stored) = ledger.get_tenant_job(&tenant_key, requested) {
                     if stored.spec_fingerprint.as_deref() == Some(fingerprint.as_str()) {
-                        return submit_ack(requested, "done", true, Some(stored));
+                        return submit_ack(requested, "done", true, Some(&stored));
                     }
                     return error_json(format!(
                         "job_id {requested} is already ledgered for this tenant \
                          with a different spec"
                     ));
                 }
-                if ledger.get(requested).is_some() {
+                if ledger.contains(requested) {
                     return error_json(format!(
                         "job_id {requested} is already ledgered under another tenant"
                     ));
@@ -1592,6 +1744,9 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
             fe.submitting.fetch_add(1, Ordering::AcqRel);
             let response = handle_submit(fe, spec);
             fe.submitting.fetch_sub(1, Ordering::AcqRel);
+            // One wake covers both edges the scheduling loop waits on:
+            // the enqueue above is complete, and `submitting` has fallen.
+            fe.sched_wake.notify();
             response
         }
         Some("poll") => match request.get("id").and_then(Json::as_u64) {
@@ -1615,6 +1770,9 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
                     .and_then(Json::as_u64)
                     .map(|ms| Instant::now() + Duration::from_millis(ms));
                 loop {
+                    // Before the status check, so a finish landing after
+                    // it cuts the wait below short.
+                    let seen = fe.status_wake.generation();
                     match fe.status_of(id) {
                         None => break error_json(format!("unknown job id {id}")),
                         Some(status @ (JobStatus::Done(_) | JobStatus::Refused(_))) => {
@@ -1634,7 +1792,10 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
                     if fe.stopping.load(Ordering::Acquire) {
                         break error_json("service shut down before the job completed");
                     }
-                    std::thread::sleep(Duration::from_millis(2));
+                    fe.status_wake.wait_past(
+                        seen,
+                        deadline.map(|d| d.saturating_duration_since(Instant::now())),
+                    );
                 }
             }
         },
@@ -1659,12 +1820,9 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
                                 ("job_id", Json::from(r.job_id)),
                                 (
                                     "content_hash",
-                                    Json::Str(r.content_hash.clone().unwrap_or_default()),
+                                    Json::Str(r.content_hash.unwrap_or_default()),
                                 ),
-                                (
-                                    "prev_hash",
-                                    Json::Str(r.prev_hash.clone().unwrap_or_default()),
-                                ),
+                                ("prev_hash", Json::Str(r.prev_hash.unwrap_or_default())),
                             ])
                         })
                         .collect();
@@ -1687,6 +1845,7 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
                 .lock()
                 .expect("metrics waiters poisoned")
                 .push(tx);
+            fe.sched_wake.notify();
             match rx.recv_timeout(Duration::from_secs(30)) {
                 Ok(response) => response,
                 Err(_) => error_json("metrics gather timed out (service draining?)"),
@@ -1770,6 +1929,7 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
             let since = request.get("since").and_then(Json::as_u64).unwrap_or(0);
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
+                let seen = fe.sample_wake.generation();
                 let (samples, latest) = {
                     let ring = fe.samples.lock().expect("samples poisoned");
                     (ring.since(since), ring.latest_seq())
@@ -1787,7 +1947,10 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
                 if fe.stopping.load(Ordering::Acquire) {
                     break error_json("service shut down");
                 }
-                std::thread::sleep(Duration::from_millis(10));
+                fe.sample_wake.wait_past(
+                    seen,
+                    Some(deadline.saturating_duration_since(Instant::now())),
+                );
             }
         }
         Some("timeline") => match request.get("id").and_then(Json::as_u64) {
@@ -1801,6 +1964,7 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
                     .lock()
                     .expect("trace waiters poisoned")
                     .push((id, tx));
+                fe.sched_wake.notify();
                 match rx.recv_timeout(Duration::from_secs(30)) {
                     Ok(response) => response,
                     Err(_) => error_json("trace gather timed out (service draining?)"),
@@ -1917,6 +2081,7 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
         },
         Some("shutdown") => {
             fe.shutdown_requested.store(true, Ordering::Release);
+            fe.sched_wake.notify();
             Json::obj([("ok", Json::Bool(true)), ("status", Json::from("draining"))])
         }
         other => error_json(format!(
@@ -1934,4 +2099,52 @@ fn handle_request(request: &Json, fe: &Arc<Frontend>) -> Json {
 /// which is exactly this spawn/join scaffold.)
 pub fn run_service_world(backend: Backend, p: usize, cfg: &ServiceConfig) -> Vec<ServiceSummary> {
     ccheck_net::testing::run_owned_with_stats_on(backend, p, |comm| run_service(comm, cfg)).0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The interleaving the generation exists for: the notify lands
+    /// after the waiter looked at the state but before it waits.
+    #[test]
+    fn notify_between_check_and_wait_is_not_lost() {
+        let wake = Wake::default();
+        let seen = wake.generation();
+        wake.notify();
+        let t0 = Instant::now();
+        wake.wait_past(seen, Some(Duration::from_secs(30)));
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the notify was lost"
+        );
+    }
+
+    #[test]
+    fn wait_past_ends_on_timeout_or_on_a_notify_from_another_thread() {
+        let wake = Arc::new(Wake::default());
+        let seen = wake.generation();
+        let t0 = Instant::now();
+        wake.wait_past(seen, Some(Duration::from_millis(30)));
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        assert_eq!(wake.generation(), seen);
+
+        // The waiter reports once it has read the generation, so the
+        // notify provably comes after its check.
+        let (looked_tx, looked_rx) = mpsc::channel();
+        let waiter = {
+            let wake = Arc::clone(&wake);
+            std::thread::spawn(move || {
+                let seen = wake.generation();
+                looked_tx.send(()).expect("test is listening");
+                let t0 = Instant::now();
+                wake.wait_past(seen, Some(Duration::from_secs(30)));
+                t0.elapsed()
+            })
+        };
+        looked_rx.recv().expect("waiter looked");
+        wake.notify();
+        let waited = waiter.join().expect("waiter exits");
+        assert!(waited < Duration::from_secs(10), "the notify was lost");
+    }
 }

@@ -34,7 +34,8 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use ccheck_hashing::sha256_hex;
@@ -127,25 +128,40 @@ fn tenant_key(receipt: &Receipt) -> String {
     receipt.tenant.clone().unwrap_or_default()
 }
 
+/// One tenant's corner of the index: its chain head and where its jobs
+/// sit in the log.
+#[derive(Debug, Default)]
+struct TenantChain {
+    /// Current chain head hash.
+    head: String,
+    /// Job id → index into `entries`.
+    jobs: BTreeMap<u64, usize>,
+}
+
 /// A durable, append-only receipt ledger bound to one log file.
 ///
 /// Appends seal receipts into their tenant's hash chain and frame them
 /// onto disk; opening an existing file replays it (tolerating a torn
-/// tail) so the in-memory index — receipts by id, by `(tenant,
-/// job_id)`, and per-tenant chain heads — always mirrors the durable
-/// prefix of the log.
+/// tail). **Index resident, receipts on disk:** what stays in memory is
+/// one `(offset, len)` per record, the id and `(tenant, job_id)` lookups
+/// into that list, and the per-tenant chain heads — a few dozen bytes
+/// per ledgered job, always mirroring the durable prefix of the log.
+/// [`Ledger::get`], [`Ledger::get_tenant_job`] and [`Ledger::chain`]
+/// read the receipts they return back from the file.
 #[derive(Debug)]
 pub struct Ledger {
     file: File,
     path: PathBuf,
-    /// Sealed receipts in append order.
-    entries: Vec<Receipt>,
+    /// `(frame offset, frame length)` of every record, in append order.
+    entries: Vec<(u64, u32)>,
     /// Service job id → index into `entries`.
     by_id: BTreeMap<u64, usize>,
-    /// `(tenant key, job id)` → index into `entries`.
-    by_tenant_job: BTreeMap<(String, u64), usize>,
-    /// Tenant key → current chain head hash.
-    heads: BTreeMap<String, String>,
+    /// Tenant key → chain head and that tenant's jobs.
+    tenants: BTreeMap<String, TenantChain>,
+    /// The largest ledgered admission sequence number.
+    max_admit_seq: u64,
+    /// Length of the valid log: where the next record is written.
+    end: u64,
     /// Appends since the last fsync.
     unsynced: u32,
     /// Fsync after this many appends (≥ 1).
@@ -169,13 +185,25 @@ impl Ledger {
     /// assert_eq!(sealed.prev_hash.as_deref(), Some(ccheck_service::ledger::GENESIS_HASH));
     /// drop(ledger);
     ///
-    /// // Reopening replays the log: the receipt is back, still sealed.
+    /// // Reopening replays the log: the receipt is back (read from the
+    /// // file, so returned by value), still sealed.
     /// let ledger = Ledger::open(&path)?;
-    /// assert_eq!(ledger.get(sealed.job_id), Some(&sealed));
+    /// assert_eq!(ledger.get(sealed.job_id), Some(sealed));
     /// # std::fs::remove_file(&path)?;
     /// # Ok::<(), std::io::Error>(())
     /// ```
     pub fn open(path: impl AsRef<Path>) -> io::Result<Ledger> {
+        Ledger::open_with(path, |_| {})
+    }
+
+    /// [`Ledger::open`], handing every replayed receipt to `visit` in
+    /// append order as it is indexed — how a restarting daemon refolds
+    /// its aggregates and tuner rungs in the same single pass, since the
+    /// ledger itself keeps none of the receipts.
+    pub fn open_with(
+        path: impl AsRef<Path>,
+        mut visit: impl FnMut(&Receipt),
+    ) -> io::Result<Ledger> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .read(true)
@@ -183,21 +211,22 @@ impl Ledger {
             .create(true)
             .truncate(false)
             .open(&path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
         let mut ledger = Ledger {
-            file: file.try_clone()?,
+            file,
             path,
             entries: Vec::new(),
             by_id: BTreeMap::new(),
-            by_tenant_job: BTreeMap::new(),
-            heads: BTreeMap::new(),
+            tenants: BTreeMap::new(),
+            max_admit_seq: 0,
+            end: MAGIC.len() as u64,
             unsynced: 0,
             sync_every: DEFAULT_SYNC_EVERY,
         };
 
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
         if bytes.is_empty() {
-            ledger.file.write_all(MAGIC)?;
+            ledger.file.write_all_at(MAGIC, 0)?;
             ledger.file.sync_data()?;
             return Ok(ledger);
         }
@@ -207,14 +236,26 @@ impl Ledger {
                 format!("{} is not a ccheck receipt ledger", ledger.path.display()),
             ));
         }
-        let valid_end = ledger.replay_bytes(&bytes)?;
-        if valid_end < bytes.len() {
+        let mut offset = MAGIC.len();
+        while let Some((receipt, next)) = decode_record(&bytes, offset) {
+            let content = receipt.content_hash.as_deref().unwrap_or_default();
+            let prev = receipt.prev_hash.as_deref().unwrap_or_default();
+            // A record that frames correctly but breaks the chain is
+            // treated like any other tail corruption: replay stops at
+            // the last coherent prefix (§6.1).
+            if receipt.content_hash() != content || ledger.head(&tenant_key(&receipt)) != prev {
+                break;
+            }
+            ledger.index(&receipt, (next - offset) as u32);
+            visit(&receipt);
+            offset = next;
+        }
+        if offset < bytes.len() {
             // Torn tail from a mid-write crash: drop it so the next
             // append starts on a clean record boundary.
-            ledger.file.set_len(valid_end as u64)?;
+            ledger.file.set_len(offset as u64)?;
             ledger.file.sync_data()?;
         }
-        ledger.file.seek(SeekFrom::End(0))?;
         Ok(ledger)
     }
 
@@ -290,8 +331,9 @@ impl Ledger {
     pub fn append(&mut self, mut receipt: Receipt) -> io::Result<Receipt> {
         let tenant = tenant_key(&receipt);
         if self
-            .by_tenant_job
-            .contains_key(&(tenant.clone(), receipt.job_id))
+            .tenants
+            .get(&tenant)
+            .is_some_and(|chain| chain.jobs.contains_key(&receipt.job_id))
         {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -301,13 +343,8 @@ impl Ledger {
                 ),
             ));
         }
-        let prev = self
-            .heads
-            .get(&tenant)
-            .cloned()
-            .unwrap_or_else(|| GENESIS_HASH.to_string());
         receipt.content_hash = Some(receipt.content_hash());
-        receipt.prev_hash = Some(prev.clone());
+        receipt.prev_hash = Some(self.head(&tenant));
 
         let t_append = std::time::Instant::now();
         let payload = receipt.to_json().render().into_bytes();
@@ -315,26 +352,60 @@ impl Ledger {
         // The shared crash-safe framing (`ccheck_obs::record_log`,
         // extracted from this module) — byte-identical to the
         // pre-extraction format, asserted by the fixture-replay
-        // regression test below.
-        self.file.write_all(&encode_frame(&payload))?;
+        // regression test below. Written at `end`, not at a file
+        // cursor: a failed partial write is overwritten by the next
+        // append, so the index's offsets stay true.
+        let frame = encode_frame(&payload);
+        self.file.write_all_at(&frame, self.end)?;
         if ccheck_obs::enabled() {
             let obs = ledger_obs();
             obs.appends.inc();
             obs.append_us.observe(t_append.elapsed().as_micros() as u64);
         }
+        self.index(&receipt, frame.len() as u32);
         self.unsynced += 1;
         if self.unsynced >= self.sync_every {
             self.sync()?;
         }
-
-        let content = receipt.content_hash.clone().expect("just sealed");
-        self.heads
-            .insert(tenant.clone(), chain_hash(&prev, &content));
-        let index = self.entries.len();
-        self.by_id.insert(receipt.job_id, index);
-        self.by_tenant_job.insert((tenant, receipt.job_id), index);
-        self.entries.push(receipt.clone());
         Ok(receipt)
+    }
+
+    /// Index one sealed record of `frame_len` bytes sitting at `end`:
+    /// advance its tenant's chain head, note where it is, and move
+    /// `end` past it.
+    fn index(&mut self, receipt: &Receipt, frame_len: u32) {
+        let content = receipt.content_hash.as_deref().unwrap_or_default();
+        let prev = receipt.prev_hash.as_deref().unwrap_or_default();
+        let index = self.entries.len();
+        let chain = self.tenants.entry(tenant_key(receipt)).or_default();
+        chain.head = chain_hash(prev, content);
+        chain.jobs.insert(receipt.job_id, index);
+        self.by_id.insert(receipt.job_id, index);
+        self.max_admit_seq = self.max_admit_seq.max(receipt.admit_seq);
+        self.entries.push((self.end, frame_len));
+        self.end += u64::from(frame_len);
+    }
+
+    /// Read the `index`-th record back from the log. `None` (and an
+    /// error log) only if the file no longer holds what was written —
+    /// the record was framed, CRC-checked and chain-verified when it was
+    /// indexed.
+    fn read(&self, index: usize) -> Option<Receipt> {
+        let (offset, len) = self.entries[index];
+        let mut frame = vec![0u8; len as usize];
+        let receipt = self
+            .file
+            .read_exact_at(&mut frame, offset)
+            .ok()
+            .and_then(|()| decode_record(&frame, 0));
+        if receipt.is_none() {
+            ccheck_obs::error!(
+                "ledger",
+                "{}: record {index} at offset {offset} no longer reads back",
+                self.path.display()
+            );
+        }
+        receipt.map(|(receipt, _)| receipt)
     }
 
     /// Force the batched appends to durable storage.
@@ -372,45 +443,62 @@ impl Ledger {
         self.entries.is_empty()
     }
 
-    /// All sealed receipts in append order.
-    pub fn entries(&self) -> &[Receipt] {
-        &self.entries
+    /// The sealed receipt for a service job id, read back from the log.
+    ///
+    /// ```
+    /// use ccheck_service::ledger::Ledger;
+    /// use ccheck_service::Receipt;
+    ///
+    /// let path = std::env::temp_dir().join(format!("doc-get-{}.log", std::process::id()));
+    /// # let _ = std::fs::remove_file(&path);
+    /// let mut ledger = Ledger::open(&path)?;
+    /// let sealed = ledger.append(Receipt::example())?;
+    /// // Owned: the ledger keeps an offset, not the receipt.
+    /// let fetched: Option<Receipt> = ledger.get(sealed.job_id);
+    /// assert_eq!(fetched, Some(sealed));
+    /// assert_eq!(ledger.get(999), None);
+    /// # std::fs::remove_file(&path)?;
+    /// # Ok::<(), std::io::Error>(())
+    /// ```
+    pub fn get(&self, job_id: u64) -> Option<Receipt> {
+        self.by_id.get(&job_id).and_then(|&i| self.read(i))
     }
 
-    /// The sealed receipt for a service job id.
-    pub fn get(&self, job_id: u64) -> Option<&Receipt> {
-        self.by_id.get(&job_id).map(|&i| &self.entries[i])
+    /// Whether a receipt is ledgered under this service job id (no file
+    /// access).
+    pub fn contains(&self, job_id: u64) -> bool {
+        self.by_id.contains_key(&job_id)
     }
 
     /// The sealed receipt for `(tenant key, job id)` — the idempotency
     /// lookup (`docs/PROTOCOL.md` §7). The anonymous default tenant is
     /// keyed `""`.
-    pub fn get_tenant_job(&self, tenant: &str, job_id: u64) -> Option<&Receipt> {
-        self.by_tenant_job
-            .get(&(tenant.to_string(), job_id))
-            .map(|&i| &self.entries[i])
+    pub fn get_tenant_job(&self, tenant: &str, job_id: u64) -> Option<Receipt> {
+        let &index = self.tenants.get(tenant)?.jobs.get(&job_id)?;
+        self.read(index)
     }
 
     /// One tenant's chain in append order (what `verify_chain` takes).
-    pub fn chain(&self, tenant: &str) -> Vec<&Receipt> {
-        self.entries
-            .iter()
-            .filter(|r| tenant_key(r) == tenant)
-            .collect()
+    pub fn chain(&self, tenant: &str) -> Vec<Receipt> {
+        let Some(chain) = self.tenants.get(tenant) else {
+            return Vec::new();
+        };
+        let mut indexes: Vec<usize> = chain.jobs.values().copied().collect();
+        indexes.sort_unstable();
+        indexes.into_iter().filter_map(|i| self.read(i)).collect()
     }
 
     /// A tenant's current chain head hash ([`GENESIS_HASH`] if the
     /// tenant has no entries).
     pub fn head(&self, tenant: &str) -> String {
-        self.heads
+        self.tenants
             .get(tenant)
-            .cloned()
-            .unwrap_or_else(|| GENESIS_HASH.to_string())
+            .map_or_else(|| GENESIS_HASH.to_string(), |chain| chain.head.clone())
     }
 
     /// Tenant keys with at least one ledgered receipt, sorted.
     pub fn tenants(&self) -> Vec<String> {
-        self.heads.keys().cloned().collect()
+        self.tenants.keys().cloned().collect()
     }
 
     /// The largest ledgered job id (0 when empty) — the floor for the
@@ -422,33 +510,7 @@ impl Ledger {
     /// The largest ledgered admission sequence number (0 when empty) —
     /// the restarted world continues numbering from here.
     pub fn max_admit_seq(&self) -> u64 {
-        self.entries.iter().map(|r| r.admit_seq).max().unwrap_or(0)
-    }
-
-    /// Replay framed records from `bytes` (which begins with [`MAGIC`])
-    /// into the index; returns the offset one past the last valid
-    /// record.
-    fn replay_bytes(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        let mut offset = MAGIC.len();
-        while let Some((receipt, next)) = decode_record(bytes, offset) {
-            let tenant = tenant_key(&receipt);
-            let content = receipt.content_hash.clone().unwrap_or_default();
-            let prev = receipt.prev_hash.clone().unwrap_or_default();
-            // A record that frames correctly but breaks the chain is
-            // treated like any other tail corruption: replay stops at
-            // the last coherent prefix (§6.1).
-            if receipt.content_hash() != content || self.head(&tenant) != prev {
-                break;
-            }
-            self.heads
-                .insert(tenant.clone(), chain_hash(&prev, &content));
-            let index = self.entries.len();
-            self.by_id.insert(receipt.job_id, index);
-            self.by_tenant_job.insert((tenant, receipt.job_id), index);
-            self.entries.push(receipt);
-            offset = next;
-        }
-        Ok(offset)
+        self.max_admit_seq
     }
 }
 
@@ -512,8 +574,8 @@ mod tests {
         let (first, second) = sealed_pair(&path);
         let ledger = Ledger::open(&path).unwrap();
         assert_eq!(ledger.len(), 2);
-        assert_eq!(ledger.get(7), Some(&first));
-        assert_eq!(ledger.get_tenant_job("acme", 8), Some(&second));
+        assert_eq!(ledger.get(7), Some(first));
+        assert_eq!(ledger.get_tenant_job("acme", 8).as_ref(), Some(&second));
         assert_eq!(
             ledger.head("acme"),
             chain_hash(
@@ -592,7 +654,7 @@ mod tests {
             std::fs::write(&path, &intact[..cut]).unwrap();
             let ledger = Ledger::open(&path).unwrap();
             assert_eq!(ledger.len(), 1, "cut at {cut}");
-            assert_eq!(ledger.get(first.job_id), Some(&first));
+            assert_eq!(ledger.get(first.job_id).as_ref(), Some(&first));
             assert_eq!(
                 std::fs::metadata(&path).unwrap().len(),
                 second_start as u64,

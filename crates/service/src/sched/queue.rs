@@ -246,6 +246,18 @@ impl SchedCore {
         refused
     }
 
+    /// The earliest absolute deadline among queued jobs, on the service
+    /// clock: when [`SchedCore::take_expired`] next has work to do with
+    /// no other event arriving, so the scheduling loop knows how long it
+    /// may sleep. `None` when nothing queued carries a deadline, or the
+    /// policy ignores them.
+    pub fn next_deadline_ms(&self) -> Option<u64> {
+        if !self.policy.honors_deadlines() {
+            return None;
+        }
+        self.queue.iter().filter_map(QueuedJob::deadline_at).min()
+    }
+
     /// Ask the policy for the next admission for a freed slot. Resolves
     /// adaptive checker configs and does the queued→inflight
     /// accounting. `None` leaves the slot idle.
@@ -415,6 +427,7 @@ mod tests {
         core.try_enqueue(0, 1, with_deadline).unwrap();
         core.try_enqueue(0, 2, spec(Some("t"))).unwrap();
         assert!(core.take_expired(49).is_empty(), "not yet");
+        assert_eq!(core.next_deadline_ms(), Some(50));
         let refused = core.take_expired(50);
         assert_eq!(refused.len(), 1);
         assert_eq!(refused[0].0, 1);
@@ -422,8 +435,9 @@ mod tests {
         assert!(refused[0].2.contains("deadline missed"), "{}", refused[0].2);
         assert!(refused[0].2.contains("retry"), "{}", refused[0].2);
         assert_eq!(core.refused(), 1);
-        // The deadline-free job is untouched.
+        // The deadline-free job is untouched, and sets no alarm.
         assert_eq!(core.queue_len(), 1);
+        assert_eq!(core.next_deadline_ms(), None);
         assert_eq!(core.tenants().get("t").queued, 1);
     }
 
