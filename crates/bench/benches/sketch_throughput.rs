@@ -1,7 +1,8 @@
 //! Criterion microbenchmark for the streaming sketch core: elements/sec
-//! of `Sketch::update` for every sketch-backed checker, plus the cost of
-//! a chunked fold (update + merge) relative to the one-shot fold — the
-//! number that certifies chunking is free.
+//! of `Sketch::update_iter` (the fold every checker drives — a block
+//! kernel where the sketch has one) for every sketch-backed checker,
+//! plus the cost of a chunked fold (update + merge) relative to the
+//! one-shot fold — the number that certifies chunking is free.
 
 use ccheck::config::SumCheckConfig;
 use ccheck::permutation::PermCheckConfig;
@@ -33,9 +34,7 @@ fn bench_sketch_update(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("sum 4x8 CRC m5"), |b| {
         b.iter(|| {
             let mut sk = sum.sketch();
-            for &pair in std::hint::black_box(&pairs) {
-                sk.update(pair);
-            }
+            sk.update_iter(std::hint::black_box(&pairs).iter().copied());
             std::hint::black_box(sk.finalize())
         })
     });
@@ -44,9 +43,7 @@ fn bench_sketch_update(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("xor 4x16 Tab64"), |b| {
         b.iter(|| {
             let mut sk = xor.sketch();
-            for &pair in std::hint::black_box(&pairs) {
-                sk.update(pair);
-            }
+            sk.update_iter(std::hint::black_box(&pairs).iter().copied());
             std::hint::black_box(sk.finalize())
         })
     });
@@ -55,9 +52,7 @@ fn bench_sketch_update(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("perm hash-sum Tab32bit"), |b| {
         b.iter(|| {
             let mut sk = perm.sketch();
-            for &x in std::hint::black_box(&ints) {
-                sk.update(x);
-            }
+            sk.update_iter(std::hint::black_box(&ints).iter().copied());
             std::hint::black_box(sk.finalize())
         })
     });
@@ -66,9 +61,7 @@ fn bench_sketch_update(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter("zip 2-iter Tab64"), |b| {
         b.iter(|| {
             let mut sk = zip.sketch(0, 0);
-            for &x in std::hint::black_box(&ints) {
-                sk.update(x);
-            }
+            sk.update_iter(std::hint::black_box(&ints).iter().copied());
             std::hint::black_box(sk.finalize())
         })
     });

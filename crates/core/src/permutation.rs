@@ -24,7 +24,7 @@ use ccheck_hashing::gf64::gf_mul;
 use ccheck_hashing::{Hasher, HasherKind, Mt19937_64};
 use ccheck_net::Comm;
 
-use crate::sketch::Sketch;
+use crate::sketch::{for_each_block, Sketch, BLOCK};
 
 /// Fingerprinting method for permutation checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,11 +82,12 @@ impl PermCheckConfig {
     }
 }
 
-/// A seeded permutation checker.
+/// A seeded permutation checker. Owns the prepared instance (seeded
+/// hasher or evaluation point) of every iteration; sketches borrow them.
 #[derive(Debug, Clone)]
 pub struct PermChecker {
     cfg: PermCheckConfig,
-    seed: u64,
+    instances: Vec<PermInstance>,
 }
 
 impl PermChecker {
@@ -94,7 +95,32 @@ impl PermChecker {
     /// `(config, seed)`.
     pub fn new(cfg: PermCheckConfig, seed: u64) -> Self {
         assert!(cfg.iterations >= 1);
-        Self { cfg, seed }
+        let instances = (0..cfg.iterations)
+            .map(|iter| {
+                let instance_seed =
+                    seed ^ (iter as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x7065_726D;
+                // The random evaluation point `z` of the polynomial
+                // methods (identical on every PE: it derives from the
+                // shared seed).
+                let eval_point = || Mt19937_64::new(instance_seed).next();
+                match cfg.method {
+                    PermMethod::HashSum { hasher, log_h } => {
+                        assert!((1..=32).contains(&log_h), "log_h must be in 1..=32");
+                        PermInstance::HashSum {
+                            h: Hasher::new(hasher, instance_seed),
+                            mask: (1u64 << log_h) - 1,
+                        }
+                    }
+                    PermMethod::PolyField => PermInstance::PolyField {
+                        z: Mersenne61::from_u64(eval_point()),
+                    },
+                    PermMethod::PolyGf64 => PermInstance::PolyGf64 {
+                        z: eval_point() | 1, // nonzero
+                    },
+                }
+            })
+            .collect();
+        Self { cfg, instances }
     }
 
     /// The configuration.
@@ -102,50 +128,13 @@ impl PermChecker {
         &self.cfg
     }
 
-    /// Per-instance derived seed.
-    fn instance_seed(&self, iter: usize) -> u64 {
-        self.seed ^ (iter as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x7065_726D
-    }
-
-    /// The random evaluation point `z` of the polynomial methods
-    /// (identical on every PE since it derives from the shared seed).
-    fn eval_point(&self, iter: usize) -> u64 {
-        let mut rng = Mt19937_64::new(self.instance_seed(iter));
-        rng.next()
-    }
-
-    /// The prepared per-iteration instance (seeded hasher or evaluation
-    /// point) every fingerprint fold runs over.
-    fn instance(&self, iter: usize) -> PermInstance {
-        match self.cfg.method {
-            PermMethod::HashSum { hasher, log_h } => PermInstance::HashSum {
-                h: Hasher::new(hasher, self.instance_seed(iter)),
-                mask: if log_h == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << log_h) - 1
-                },
-            },
-            PermMethod::PolyField => PermInstance::PolyField {
-                z: Mersenne61::from_u64(self.eval_point(iter)),
-            },
-            PermMethod::PolyGf64 => PermInstance::PolyGf64 {
-                z: self.eval_point(iter) | 1, // nonzero
-            },
-        }
-    }
-
     /// A fresh, empty streaming sketch for this checker (see
     /// [`crate::sketch::Sketch`]): all iterations' fingerprints advance
     /// in one pass over the data.
     pub fn sketch(&self) -> PermSketch<'_> {
-        let instances: Vec<PermInstance> =
-            (0..self.cfg.iterations).map(|i| self.instance(i)).collect();
-        let accs = instances.iter().map(PermInstance::identity).collect();
         PermSketch {
             checker: self,
-            instances,
-            accs,
+            accs: self.instances.iter().map(PermInstance::identity).collect(),
             count: 0,
         }
     }
@@ -239,12 +228,11 @@ impl PermChecker {
     /// benchmarks). Additive methods return the exact sum; polynomial
     /// methods the zero-extended product.
     pub fn local_fingerprint(&self, iter: usize, data: &[u64]) -> u128 {
-        let inst = self.instance(iter);
-        let mut acc = inst.identity();
-        for &x in data {
-            acc = inst.fold(acc, x);
-        }
-        acc
+        let inst = &self.instances[iter];
+        let mut scratch = [0; BLOCK];
+        data.chunks(BLOCK).fold(inst.identity(), |acc, block| {
+            inst.fold_block(acc, block, &mut scratch)
+        })
     }
 
     /// Purely local check (p = 1 semantics) for tests and benchmarks.
@@ -278,6 +266,7 @@ impl PermChecker {
 
 /// One prepared fingerprint instance: the seeded hash function or the
 /// fixed evaluation point of the polynomial methods.
+#[derive(Debug, Clone)]
 enum PermInstance {
     /// Additive Wegman–Carter fingerprint (Lemma 4).
     HashSum { h: Hasher, mask: u64 },
@@ -313,6 +302,24 @@ impl PermInstance {
         }
     }
 
+    /// Fold one block (at most [`BLOCK`] elements) into an accumulator.
+    /// Hash sums hash the whole block in one batch and add it up in a
+    /// register (`BLOCK` masked hashes of ≤ 32 bits cannot overflow a
+    /// u64); the polynomial methods are a chain of dependent multiplies
+    /// and fold element by element.
+    fn fold_block(&self, acc: u128, block: &[u64], scratch: &mut [u64; BLOCK]) -> u128 {
+        match *self {
+            PermInstance::HashSum { ref h, mask } => {
+                let hashes = &mut scratch[..block.len()];
+                h.hash_batch(block, hashes);
+                acc + u128::from(hashes.iter().map(|hash| hash & mask).sum::<u64>())
+            }
+            PermInstance::PolyField { .. } | PermInstance::PolyGf64 { .. } => {
+                block.iter().fold(acc, |acc, &x| self.fold(acc, x))
+            }
+        }
+    }
+
     /// Combine two partial accumulators (sketch merge).
     #[inline]
     fn combine(&self, a: u128, b: u128) -> u128 {
@@ -329,7 +336,6 @@ impl PermInstance {
 /// Obtained from [`PermChecker::sketch`].
 pub struct PermSketch<'a> {
     checker: &'a PermChecker,
-    instances: Vec<PermInstance>,
     accs: Vec<u128>,
     count: u64,
 }
@@ -347,10 +353,22 @@ impl Sketch for PermSketch<'_> {
     type Digest = (u64, Vec<u128>);
 
     fn update(&mut self, item: u64) {
-        for (acc, inst) in self.accs.iter_mut().zip(&self.instances) {
+        for (acc, inst) in self.accs.iter_mut().zip(&self.checker.instances) {
             *acc = inst.fold(*acc, item);
         }
         self.count += 1;
+    }
+
+    /// Block fold, iteration-major: each instance runs over the whole
+    /// block before the next one's tables are touched.
+    fn update_iter<I: IntoIterator<Item = u64>>(&mut self, items: I) {
+        let mut scratch = [0; BLOCK];
+        for_each_block(items, |block| {
+            for (acc, inst) in self.accs.iter_mut().zip(&self.checker.instances) {
+                *acc = inst.fold_block(*acc, block, &mut scratch);
+            }
+            self.count += block.len() as u64;
+        });
     }
 
     fn merge(&mut self, other: Self) {
@@ -358,7 +376,8 @@ impl Sketch for PermSketch<'_> {
             std::ptr::eq(self.checker, other.checker),
             "cannot merge sketches of different checker instances"
         );
-        for ((acc, &badd), inst) in self.accs.iter_mut().zip(&other.accs).zip(&self.instances) {
+        let instances = &self.checker.instances;
+        for ((acc, &badd), inst) in self.accs.iter_mut().zip(&other.accs).zip(instances) {
             *acc = inst.combine(*acc, badd);
         }
         self.count += other.count;

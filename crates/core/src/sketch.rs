@@ -26,6 +26,28 @@
 //! | [`crate::permutation::PermSketch`] | [`crate::PermChecker`] | per-iteration hash sum / poly product |
 //! | [`crate::zip::ZipSketch`] | [`crate::ZipChecker`] | per-iteration inner-product fingerprint |
 //!
+//! # Block folds
+//!
+//! [`Sketch::update`] *defines* each digest: one item, all iterations.
+//! It is also the slowest way to compute it — every item drags every
+//! iteration's hash tables (16 KiB each for Tab64) through the cache and
+//! pays one dispatch and one modular reduction per hash. The digest,
+//! however, is a property of the multiset (or, for zip, of the indexed
+//! sequence), not of the order in which the fold touches memory. So the
+//! permutation and zip sketches override [`Sketch::update_iter`] with a
+//! **block fold**: buffer up to 256 items on the stack, then go
+//! *iteration-major* over the block — one hasher's tables stay in L1
+//! while it hashes the whole block
+//! ([`ccheck_hashing::Hasher::hash_batch`]; consecutive zip positions
+//! via [`ccheck_hashing::Hasher::hash_run`], one table lookup per key),
+//! sums accumulate unreduced, and each iteration's accumulator is
+//! touched once per block. Addition in ℤ and in 𝔽_{2⁶¹−1} is associative
+//! and commutative, so the result is the same canonical value
+//! bit for bit; `tests/golden_digests.rs` pins that against digests
+//! recorded from the element-wise kernels, and property tests compare
+//! the two paths on arbitrary inputs. The hash instances themselves are
+//! built once, in the checker's constructor; sketches only borrow them.
+//!
 //! ```
 //! use ccheck::sketch::Sketch;
 //! use ccheck::{SumCheckConfig, SumChecker};
@@ -63,6 +85,10 @@ pub trait Sketch: Sized {
     type Digest: PartialEq + Clone + std::fmt::Debug;
 
     /// Fold one item into the sketch. O(its) time, no allocation.
+    ///
+    /// This is the definition of the digest: whatever faster path an
+    /// implementation offers through [`Sketch::update_iter`] is tested
+    /// against it.
     fn update(&mut self, item: Self::Item);
 
     /// Absorb another sketch of the same checker instance.
@@ -74,7 +100,16 @@ pub trait Sketch: Sized {
     /// Reduce to the canonical digest (e.g. take residues mod rᵢ).
     fn finalize(self) -> Self::Digest;
 
-    /// Fold every item of an iterator (the streaming `condense`).
+    /// Fold every item of an iterator (the streaming `condense`) — the
+    /// entry point every checker, executor and benchmark drives.
+    ///
+    /// Contract for overriding implementations (the block folds): the
+    /// call may buffer items internally while it runs, but on return
+    /// the sketch must be in exactly the state `update` called once per
+    /// item, in order, would have left it in — same digest, same
+    /// counters, nothing held back. Chunking invariance is unchanged:
+    /// it makes no difference how a stream is cut into `update_iter`
+    /// calls, `update` calls, or merged sub-sketches.
     fn update_iter<I: IntoIterator<Item = Self::Item>>(&mut self, items: I) {
         for item in items {
             self.update(item);
@@ -82,9 +117,37 @@ pub trait Sketch: Sized {
     }
 }
 
+/// Items per block of a block fold (see the module docs): 2 KiB of
+/// `u64` per scratch array, small next to one hasher's 16 KiB of tables.
+pub(crate) const BLOCK: usize = 256;
+
+/// The buffering loop of every block fold: collect up to [`BLOCK`] items
+/// on the stack and hand each full block, then the final partial one, to
+/// `fold`. Never calls `fold` with an empty block.
+pub(crate) fn for_each_block<T: Copy + Default>(
+    items: impl IntoIterator<Item = T>,
+    mut fold: impl FnMut(&[T]),
+) {
+    let mut block = [T::default(); BLOCK];
+    let mut filled = 0;
+    for item in items {
+        block[filled] = item;
+        filled += 1;
+        if filled == BLOCK {
+            fold(&block);
+            filled = 0;
+        }
+    }
+    if filled > 0 {
+        fold(&block[..filled]);
+    }
+}
+
 /// Fold `items` through a fresh sketch per `chunk`-sized batch, merging
 /// as it goes — the reference driver for chunked execution, and the
-/// harness the chunking-invariance tests exercise.
+/// harness the chunking-invariance tests exercise. Each chunk goes
+/// through [`Sketch::update_iter`], so chunked execution runs the same
+/// kernels as one-shot execution.
 ///
 /// `make` is called once per chunk to obtain an empty sketch (all calls
 /// must come from the same checker instance). With `chunk == usize::MAX`
@@ -98,29 +161,15 @@ where
     I: IntoIterator<Item = S::Item>,
 {
     assert!(chunk > 0, "chunk size must be positive");
-    let mut acc: Option<S> = None;
-    let mut current = make();
-    let mut filled = 0usize;
-    for item in items {
-        current.update(item);
-        filled += 1;
-        if filled == chunk {
-            match &mut acc {
-                Some(a) => a.merge(std::mem::replace(&mut current, make())),
-                None => acc = Some(std::mem::replace(&mut current, make())),
-            }
-            filled = 0;
-        }
+    let mut items = items.into_iter().peekable();
+    let mut acc = make();
+    acc.update_iter(items.by_ref().take(chunk));
+    while items.peek().is_some() {
+        let mut next = make();
+        next.update_iter(items.by_ref().take(chunk));
+        acc.merge(next);
     }
-    match acc {
-        Some(mut a) => {
-            if filled > 0 {
-                a.merge(current);
-            }
-            a.finalize()
-        }
-        None => current.finalize(),
-    }
+    acc.finalize()
 }
 
 #[cfg(test)]
@@ -153,6 +202,46 @@ mod tests {
                 one_shot,
                 "chunk={chunk}"
             );
+        }
+    }
+
+    /// Records the length of every `update_iter` call it receives.
+    struct ChunkLens(Vec<usize>);
+    impl Sketch for ChunkLens {
+        type Item = u64;
+        type Digest = Vec<usize>;
+        fn update(&mut self, _: u64) {
+            unreachable!("digest_chunked must feed chunks, not items");
+        }
+        fn update_iter<I: IntoIterator<Item = u64>>(&mut self, items: I) {
+            self.0.push(items.into_iter().count());
+        }
+        fn merge(&mut self, other: Self) {
+            self.0.extend(other.0);
+        }
+        fn finalize(self) -> Vec<usize> {
+            self.0
+        }
+    }
+
+    #[test]
+    fn digest_chunked_feeds_whole_chunks_through_update_iter() {
+        let lens = |n: u64, chunk| digest_chunked(|| ChunkLens(Vec::new()), 0..n, chunk);
+        assert_eq!(lens(10, 4), [4, 4, 2]);
+        assert_eq!(lens(8, 4), [4, 4]);
+        assert_eq!(lens(3, usize::MAX), [3]);
+        assert_eq!(lens(0, 4), [0]);
+    }
+
+    #[test]
+    fn for_each_block_cuts_at_the_block_size_and_skips_empty_blocks() {
+        for n in [0usize, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+            let mut seen = Vec::new();
+            for_each_block(0..n as u64, |block| {
+                assert!(!block.is_empty() && block.len() <= BLOCK);
+                seen.extend_from_slice(block);
+            });
+            assert_eq!(seen, (0..n as u64).collect::<Vec<_>>(), "n={n}");
         }
     }
 

@@ -12,12 +12,18 @@
 //! The fingerprint lives in 𝔽_{2⁶¹−1}: `F(S) = Σᵢ h′(i)·h(xᵢ) mod p`,
 //! combined across PEs by field addition. Two sequences agreeing on the
 //! fingerprint of every iteration differ with probability ≤ `(1/H)^its`.
+//!
+//! The per-element definition is [`Sketch::update`]; streams are folded
+//! by the block kernel behind [`Sketch::update_iter`] (see
+//! [`crate::sketch`]): per block of 256 and per iteration, one
+//! [`Hasher::hash_run`] over the positions, one [`Hasher::hash_batch`]
+//! over the values and one [`Mersenne61::dot`].
 
 use ccheck_hashing::field::Mersenne61;
 use ccheck_hashing::{Hasher, HasherKind};
 use ccheck_net::Comm;
 
-use crate::sketch::Sketch;
+use crate::sketch::{for_each_block, Sketch, BLOCK};
 
 /// Configuration of the Zip checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,29 +43,37 @@ impl Default for ZipCheckConfig {
     }
 }
 
-/// A seeded Zip checker.
+/// A seeded Zip checker. Owns every hash instance its sketches use:
+/// they are seeded once here, and sketches borrow them.
 #[derive(Debug, Clone)]
 pub struct ZipChecker {
     cfg: ZipCheckConfig,
-    seed: u64,
+    /// `lanes[lane][iter]`: the `(value hasher, position hasher)` pair of
+    /// one fingerprint instance. Lane 0 covers the first components (vs
+    /// `s1`), lane 1 the second (vs `s2`).
+    lanes: [Vec<(Hasher, Hasher)>; 2],
 }
 
 impl ZipChecker {
     /// Create a checker; all PEs must pass the same `(config, seed)`.
     pub fn new(cfg: ZipCheckConfig, seed: u64) -> Self {
         assert!(cfg.iterations >= 1);
-        Self { cfg, seed }
-    }
-
-    /// The two hash instances of one (iteration, lane) fingerprint.
-    /// Lane 0 covers the first components (vs `s1`), lane 1 the second
-    /// (vs `s2`); instance index `2·iter + lane` matches the historical
-    /// per-slice implementation bit for bit.
-    fn hashers(&self, iter: usize, lane: usize) -> (Hasher, Hasher) {
-        let instance = (2 * iter + lane) as u64;
-        let h_val = Hasher::new(self.cfg.hasher, self.seed ^ instance << 32 ^ 0x7A69);
-        let h_pos = Hasher::new(self.cfg.hasher, self.seed ^ instance << 32 ^ 0x7069_7073);
-        (h_val, h_pos)
+        // Instance index `2·iter + lane` matches the historical
+        // per-slice implementation bit for bit.
+        let lane = |lane: usize| {
+            (0..cfg.iterations)
+                .map(|iter| {
+                    let instance = (2 * iter + lane) as u64;
+                    let h_val = Hasher::new(cfg.hasher, seed ^ instance << 32 ^ 0x7A69);
+                    let h_pos = Hasher::new(cfg.hasher, seed ^ instance << 32 ^ 0x7069_7073);
+                    (h_val, h_pos)
+                })
+                .collect()
+        };
+        Self {
+            cfg,
+            lanes: [lane(0), lane(1)],
+        }
     }
 
     /// A fresh streaming sketch fingerprinting one component lane
@@ -69,13 +83,10 @@ impl ZipChecker {
     /// the fingerprint is position-sensitive.
     pub fn sketch(&self, lane: usize, start: u64) -> ZipSketch<'_> {
         assert!(lane < 2, "zip sequences have two component lanes");
-        let (pairs, accs) = (0..self.cfg.iterations)
-            .map(|iter| (self.hashers(iter, lane), 0u64))
-            .unzip();
         ZipSketch {
             checker: self,
-            hashers: pairs,
-            accs,
+            hashers: &self.lanes[lane],
+            accs: vec![0; self.cfg.iterations],
             start,
             next: start,
         }
@@ -174,8 +185,9 @@ impl ZipChecker {
 /// from [`ZipChecker::sketch`].
 pub struct ZipSketch<'a> {
     checker: &'a ZipChecker,
-    /// One `(value hasher, position hasher)` pair per iteration.
-    hashers: Vec<(Hasher, Hasher)>,
+    /// One `(value hasher, position hasher)` pair per iteration, owned
+    /// by the checker.
+    hashers: &'a [(Hasher, Hasher)],
     accs: Vec<u64>,
     start: u64,
     next: u64,
@@ -191,6 +203,24 @@ impl ZipSketch<'_> {
     pub fn next_index(&self) -> u64 {
         self.next
     }
+
+    /// Fold one block of values (at most [`BLOCK`]) sitting at the next
+    /// `values.len()` global indices, iteration-major: each iteration
+    /// hashes the whole block with its own two hashers, takes the inner
+    /// product and touches its accumulator once.
+    fn fold_block(&mut self, values: &[u64], scratch: &mut [[u64; BLOCK]; 2]) {
+        let [pos_hashes, val_hashes] = scratch;
+        let (pos_hashes, val_hashes) = (
+            &mut pos_hashes[..values.len()],
+            &mut val_hashes[..values.len()],
+        );
+        for ((h_val, h_pos), acc) in self.hashers.iter().zip(&mut self.accs) {
+            h_pos.hash_run(self.next, pos_hashes);
+            h_val.hash_batch(values, val_hashes);
+            *acc = Mersenne61::add(*acc, Mersenne61::dot(pos_hashes, val_hashes));
+        }
+        self.next += values.len() as u64;
+    }
 }
 
 impl Sketch for ZipSketch<'_> {
@@ -205,6 +235,11 @@ impl Sketch for ZipSketch<'_> {
             *acc = Mersenne61::add(*acc, Mersenne61::mul(pos_hash, val_hash));
         }
         self.next += 1;
+    }
+
+    fn update_iter<I: IntoIterator<Item = u64>>(&mut self, items: I) {
+        let mut scratch = [[0; BLOCK]; 2];
+        for_each_block(items, |block| self.fold_block(block, &mut scratch));
     }
 
     /// Absorb the sketch of the **immediately following** index range:
@@ -249,6 +284,19 @@ impl Sketch for ZipPairSketch<'_> {
     fn update(&mut self, (a, b): (u64, u64)) {
         self.first.update(a);
         self.second.update(b);
+    }
+
+    fn update_iter<I: IntoIterator<Item = (u64, u64)>>(&mut self, items: I) {
+        let mut scratch = [[0; BLOCK]; 2];
+        let (mut firsts, mut seconds) = ([0; BLOCK], [0; BLOCK]);
+        for_each_block(items, |block| {
+            for (i, &(a, b)) in block.iter().enumerate() {
+                (firsts[i], seconds[i]) = (a, b);
+            }
+            self.first.fold_block(&firsts[..block.len()], &mut scratch);
+            self.second
+                .fold_block(&seconds[..block.len()], &mut scratch);
+        });
     }
 
     fn merge(&mut self, other: Self) {

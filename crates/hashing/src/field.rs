@@ -72,6 +72,38 @@ impl Mersenne61 {
         }
     }
 
+    /// Canonicalize an arbitrary u128 into the field: 2⁶¹ ≡ 1 (mod p),
+    /// so the three 61-bit limbs simply add.
+    #[inline]
+    pub fn reduce128(x: u128) -> u64 {
+        let p = u128::from(Self::P);
+        // < 2^61 + 2^61 + 2^6: no overflow.
+        Self::from_u64(((x & p) + ((x >> 61) & p) + (x >> 122)) as u64)
+    }
+
+    /// Inner product `Σ a[i]·b[i] mod p` of two equally long slices of
+    /// **arbitrary** u64 values (no prior canonicalisation needed) — the
+    /// block kernel of the zip fingerprint. Equal to folding
+    /// `add(acc, mul(from_u64(a[i]), from_u64(b[i])))` element by
+    /// element, but with one reduction per call instead of one per
+    /// product: the low and high 64-bit words of every product go into
+    /// two unreduced 128-bit sums, recombined with 2⁶⁴ ≡ 8 (mod p).
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub fn dot(a: &[u64], b: &[u64]) -> u64 {
+        assert_eq!(a.len(), b.len(), "inner product of unequal lengths");
+        // Each sum grows by < 2^64 per element: no overflow for any
+        // slice that fits in memory.
+        let (mut lo, mut hi) = (0u128, 0u128);
+        for (&x, &y) in a.iter().zip(b) {
+            let prod = u128::from(x) * u128::from(y);
+            lo += u128::from(prod as u64);
+            hi += prod >> 64;
+        }
+        Self::add(Self::reduce128(lo), Self::mul(8, Self::reduce128(hi)))
+    }
+
     /// Exponentiation by squaring mod p.
     pub fn pow(mut base: u64, mut exp: u64) -> u64 {
         base = Self::from_u64(base);
@@ -292,6 +324,32 @@ mod tests {
         fn prop_mul_matches_u128(a in 0u64..MERSENNE61, b in 0u64..MERSENNE61) {
             let expected = ((u128::from(a) * u128::from(b)) % u128::from(MERSENNE61)) as u64;
             prop_assert_eq!(Mersenne61::mul(a, b), expected);
+        }
+
+        #[test]
+        fn prop_reduce128_matches_remainder(hi: u64, lo: u64) {
+            let x = u128::from(hi) << 64 | u128::from(lo);
+            prop_assert_eq!(Mersenne61::reduce128(x), (x % u128::from(MERSENNE61)) as u64);
+        }
+
+        #[test]
+        fn prop_dot_matches_elementwise_fold(
+            pairs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..300),
+            saturate: bool,
+        ) {
+            // `saturate` drives both unreduced sums as high as a block can.
+            let (a, b): (Vec<u64>, Vec<u64>) = if saturate {
+                pairs.iter().map(|_| (u64::MAX, u64::MAX)).unzip()
+            } else {
+                pairs.into_iter().unzip()
+            };
+            let expected = a.iter().zip(&b).fold(0, |acc, (&x, &y)| {
+                Mersenne61::add(
+                    acc,
+                    Mersenne61::mul(Mersenne61::from_u64(x), Mersenne61::from_u64(y)),
+                )
+            });
+            prop_assert_eq!(Mersenne61::dot(&a, &b), expected);
         }
 
         #[test]

@@ -291,3 +291,127 @@ proptest! {
         prop_assert_eq!(slice_stats.per_pe(), stream_stats.per_pe());
     }
 }
+
+/// `sketch` after one [`Sketch::update`] per item — the definition of
+/// every digest, and the oracle the block folds are held to.
+fn fold_elementwise<S: Sketch>(mut sketch: S, items: &[S::Item]) -> S
+where
+    S::Item: Copy,
+{
+    for &item in items {
+        sketch.update(item);
+    }
+    sketch
+}
+
+/// `sketch` after the same items through [`Sketch::update_iter`], cut at
+/// `cut` with one plain `update` in between: a block fold must hold
+/// nothing back between calls and must compose with the oracle.
+fn fold_blockwise<S: Sketch>(mut sketch: S, items: &[S::Item], cut: usize) -> S
+where
+    S::Item: Copy,
+{
+    let (head, tail) = items.split_at(cut.min(items.len()));
+    sketch.update_iter(head.iter().copied());
+    if let Some((&middle, rest)) = tail.split_first() {
+        sketch.update(middle);
+        sketch.update_iter(rest.iter().copied());
+    }
+    sketch
+}
+
+proptest! {
+    // No communication here: only local folds, so more cases are cheap.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Block folds are invisible: for all four sketches, `update_iter`
+    /// leaves the sketch exactly where per-item `update` does — digest,
+    /// `count()` and `next_index()` — over lengths on both sides of the
+    /// 256-item block, every `PermMethod`, all three hashers, and zip
+    /// start offsets whose position run crosses a byte carry.
+    #[test]
+    fn update_iter_matches_elementwise_update(
+        pairs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..700),
+        cut in 0usize..700,
+        seed: u64,
+        carry_byte in 0usize..8,
+        before in 0u64..600,
+        high: u64,
+    ) {
+        use ccheck::permutation::PermMethod;
+        let items: Vec<u64> = pairs.iter().map(|p| p.1).collect();
+
+        let sum = SumChecker::new(SumCheckConfig::new(4, 8, 5, HasherKind::Tab64), seed);
+        prop_assert_eq!(
+            fold_blockwise(sum.sketch(), &pairs, cut).finalize(),
+            fold_elementwise(sum.sketch(), &pairs).finalize()
+        );
+        let xor = XorChecker::new(XorCheckConfig::new(4, 16, HasherKind::Tab64), seed);
+        prop_assert_eq!(
+            fold_blockwise(xor.sketch(), &pairs, cut).finalize(),
+            fold_elementwise(xor.sketch(), &pairs).finalize()
+        );
+
+        for method in [
+            PermMethod::HashSum { hasher: HasherKind::Tab64, log_h: 32 },
+            PermMethod::HashSum { hasher: HasherKind::Tab32, log_h: 7 },
+            PermMethod::HashSum { hasher: HasherKind::Crc32c, log_h: 16 },
+            PermMethod::PolyField,
+            PermMethod::PolyGf64,
+        ] {
+            let perm = PermChecker::new(PermCheckConfig { method, iterations: 3 }, seed);
+            let blockwise = fold_blockwise(perm.sketch(), &items, cut);
+            prop_assert_eq!(blockwise.count(), items.len() as u64);
+            prop_assert_eq!(
+                blockwise.finalize(),
+                fold_elementwise(perm.sketch(), &items).finalize()
+            );
+        }
+
+        // A start from which the run carries out of byte `carry_byte`
+        // after `before` positions (`carry_byte == 7`: an arbitrary
+        // start instead; the u64 wrap itself is an overflow of the
+        // sketch's index cursor, tested at the hasher level only).
+        let start = if carry_byte == 7 {
+            high >> 1
+        } else {
+            ((high >> 1) | (u64::MAX >> (8 * (7 - carry_byte)))).saturating_sub(before)
+        };
+        for hasher in [HasherKind::Tab64, HasherKind::Tab32, HasherKind::Crc32c] {
+            let zip = ZipChecker::new(ZipCheckConfig { hasher, iterations: 3 }, seed);
+            for lane in 0..2 {
+                let blockwise = fold_blockwise(zip.sketch(lane, start), &items, cut);
+                let elementwise = fold_elementwise(zip.sketch(lane, start), &items);
+                prop_assert_eq!(blockwise.count(), items.len() as u64);
+                prop_assert_eq!(blockwise.next_index(), elementwise.next_index());
+                prop_assert_eq!(blockwise.finalize(), elementwise.finalize());
+            }
+            prop_assert_eq!(
+                fold_blockwise(zip.sketch_pairs(start), &pairs, cut).finalize(),
+                fold_elementwise(zip.sketch_pairs(start), &pairs).finalize()
+            );
+        }
+    }
+
+    /// Adjacent zip chunks of any sizes — smaller than, equal to and
+    /// larger than a block — each block-folded in a fresh sketch, merge
+    /// to the one-shot digest.
+    #[test]
+    fn block_folded_adjacent_zip_chunks_merge_to_one_shot(
+        items in prop::collection::vec(any::<u64>(), 1..1500),
+        sizes in prop::collection::vec(1usize..600, 1..6),
+        start in 0u64..0x1_0000_0000,
+        seed: u64,
+    ) {
+        let checker = ZipChecker::new(ZipCheckConfig::default(), seed);
+        let mut one_shot = checker.sketch(1, start);
+        one_shot.update_iter(items.iter().copied());
+        let mut acc = checker.sketch(1, start);
+        for chunk in partition(&items, &sizes) {
+            let mut sk = checker.sketch(1, acc.next_index());
+            sk.update_iter(chunk.iter().copied());
+            acc.merge(sk);
+        }
+        prop_assert_eq!(acc.finalize(), one_shot.finalize());
+    }
+}

@@ -7,9 +7,9 @@
 
 use ccheck::config::SumCheckConfig;
 use ccheck::permutation::PermCheckConfig;
-use ccheck::{PermChecker, SumChecker};
+use ccheck::{PermChecker, SumChecker, ZipCheckConfig, ZipChecker};
 use ccheck_hashing::HasherKind;
-use ccheck_manip::{PermManipulator, SumManipulator};
+use ccheck_manip::{PermManipulator, SumManipulator, ZipManipulator};
 use ccheck_workloads::{uniform_ints, zipf_valued_pairs};
 use std::collections::HashMap;
 
@@ -158,5 +158,74 @@ fn one_sidedness_over_many_seeds() {
             SumChecker::new(cfg, seed).check_local(&input, &correct),
             "correct result rejected at seed {seed}"
         );
+    }
+}
+
+/// The contiguous share `bounds[rank]..bounds[rank + 1]` of `v`.
+fn share<'a, T>(v: &'a [T], bounds: &[usize], rank: usize) -> &'a [T] {
+    &v[bounds[rank]..bounds[rank + 1]]
+}
+
+#[test]
+fn zip_checker_rejects_every_manipulation_and_accepts_every_clean_zip() {
+    // With 61-bit fingerprints a miss is a ~2⁻⁶¹ event per iteration:
+    // every effective manipulation must be rejected in every trial, and
+    // (one-sidedness) every clean zip accepted — through the slice entry
+    // point with evenly split sequences, and through `check_stream` with
+    // the output distributed differently from the inputs, so `z_start ≠
+    // s1_start` on every PE but the first and the 256-item blocks of the
+    // fold straddle the data differently on the two sides.
+    const N: usize = 1000;
+    const TRIALS: u64 = 200;
+    const EVEN: [usize; 4] = [0, 334, 667, N];
+    const SKEWED: [usize; 4] = [0, 513, 900, N];
+    let s1 = uniform_ints(5, u64::MAX, 0..N);
+    let s2 = uniform_ints(6, 1 << 20, 0..N);
+    let zipped: Vec<(u64, u64)> = s1.iter().copied().zip(s2.iter().copied()).collect();
+
+    for iterations in [1usize, 4] {
+        let cfg = ZipCheckConfig {
+            hasher: HasherKind::Tab64,
+            iterations,
+        };
+        let wrong_verdicts = ccheck_net::run(3, |comm| {
+            let rank = comm.rank();
+            let (a, b) = (share(&s1, &EVEN, rank), share(&s2, &EVEN, rank));
+            let mut wrong = Vec::new();
+            for trial in 0..TRIALS {
+                let checker = ZipChecker::new(cfg, trial ^ 0x21D0);
+                let mut both_paths = |output: &[(u64, u64)]| {
+                    let skewed = share(output, &SKEWED, rank);
+                    let via_check = checker.check(comm, a, b, share(output, &EVEN, rank));
+                    let via_stream = checker.check_stream(
+                        comm,
+                        (a.len() as u64, a.iter().copied()),
+                        (b.len() as u64, b.iter().copied()),
+                        (skewed.len() as u64, skewed.iter().copied()),
+                    );
+                    (via_check, via_stream)
+                };
+                if both_paths(&zipped) != (true, true) {
+                    wrong.push(format!("clean zip rejected, trial {trial}"));
+                }
+                for manip in ZipManipulator::all() {
+                    // The first seed of this trial's sequence under which
+                    // the manipulation really changes a lane.
+                    let bad = (0..)
+                        .find_map(|retry| {
+                            let mut bad = zipped.clone();
+                            manip.apply(&mut bad, trial + retry * TRIALS).then_some(bad)
+                        })
+                        .expect("unbounded retries");
+                    if both_paths(&bad) != (false, false) {
+                        wrong.push(format!("{} accepted, trial {trial}", manip.label()));
+                    }
+                }
+            }
+            wrong
+        });
+        for wrong in wrong_verdicts {
+            assert!(wrong.is_empty(), "iterations={iterations}: {wrong:?}");
+        }
     }
 }
