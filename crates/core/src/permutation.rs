@@ -16,13 +16,15 @@
 //!   multiplication (the SIMD-friendly variant §5 suggests).
 //!
 //! All methods run `iterations` independent instances and accept only if
-//! every instance accepts; the global length equality is verified first
-//! (a degenerate mismatch no fingerprint is guaranteed to catch).
+//! every instance accepts and the global lengths are equal (a degenerate
+//! mismatch no fingerprint is guaranteed to catch). The distributed
+//! verdict costs one allreduce whatever `iterations` is.
 
 use ccheck_hashing::field::Mersenne61;
 use ccheck_hashing::gf64::gf_mul;
 use ccheck_hashing::{Hasher, HasherKind, Mt19937_64};
-use ccheck_net::Comm;
+use ccheck_net::wire::Run;
+use ccheck_net::{Comm, Wire};
 
 use crate::sketch::{for_each_block, Sketch, BLOCK};
 
@@ -173,9 +175,13 @@ impl PermChecker {
     }
 
     /// Distributed check over pre-folded sketches — the collective
-    /// driver of every permutation check: one length allreduce, then one
-    /// fingerprint-pair allreduce per iteration (byte-identical to the
-    /// historical slice-based implementation).
+    /// driver of every permutation check. **One allreduce**, whatever
+    /// `iterations` and the method are: the message is the count pair
+    /// followed by every iteration's `(input, output)` fingerprint pair
+    /// as a prefix-free [`Run`] (`16 + 32·iterations` bytes for hash
+    /// sums, `16 + 16·iterations` for the polynomial methods), combined
+    /// lane by lane with the method's own operation. Counts and every
+    /// fingerprint pair are compared.
     ///
     /// # Panics
     /// Panics if either sketch belongs to a different checker instance.
@@ -189,38 +195,16 @@ impl PermChecker {
             std::ptr::eq(input.checker, self) && std::ptr::eq(output.checker, self),
             "sketches must come from this checker instance"
         );
-        // Global length equality first (a degenerate mismatch no
-        // fingerprint is guaranteed to catch).
-        let (tot_in, tot_out) =
-            comm.allreduce((input.count, output.count), |a, b| (a.0 + b.0, a.1 + b.1));
-        if tot_in != tot_out {
-            return false;
+        let counts = (input.count, output.count);
+        let pairs = input.accs.iter().zip(&output.accs);
+        let lanes: Vec<u128> = pairs.flat_map(|(&i, &o)| [i, o]).collect();
+        // Products live in the low 64 bits of the accumulator.
+        let low = |lanes: Vec<u128>| -> Vec<u64> { lanes.into_iter().map(|x| x as u64).collect() };
+        match self.cfg.method {
+            PermMethod::HashSum { .. } => lanes_agree(comm, counts, lanes, u128::wrapping_add),
+            PermMethod::PolyField => lanes_agree(comm, counts, low(lanes), Mersenne61::mul),
+            PermMethod::PolyGf64 => lanes_agree(comm, counts, low(lanes), gf_mul),
         }
-        let mut ok = true;
-        for iter in 0..self.cfg.iterations {
-            ok &= match self.cfg.method {
-                PermMethod::HashSum { .. } => {
-                    let (gi, go) = comm.allreduce((input.accs[iter], output.accs[iter]), |a, b| {
-                        (a.0.wrapping_add(b.0), a.1.wrapping_add(b.1))
-                    });
-                    gi == go
-                }
-                PermMethod::PolyField => {
-                    let pair = (input.accs[iter] as u64, output.accs[iter] as u64);
-                    let (gi, go) = comm.allreduce(pair, |a, b| {
-                        (Mersenne61::mul(a.0, b.0), Mersenne61::mul(a.1, b.1))
-                    });
-                    gi == go
-                }
-                PermMethod::PolyGf64 => {
-                    let pair = (input.accs[iter] as u64, output.accs[iter] as u64);
-                    let (gi, go) =
-                        comm.allreduce(pair, |a, b| (gf_mul(a.0, b.0), gf_mul(a.1, b.1)));
-                    gi == go
-                }
-            };
-        }
-        ok
     }
 
     /// Local fingerprint of one instance over `data` (the per-PE work of
@@ -262,6 +246,26 @@ impl PermChecker {
         };
         digest(input) == digest(output)
     }
+}
+
+/// The one collective of a permutation check: sum the `(input, output)`
+/// element counts and combine the fingerprint `lanes` (laid out
+/// `[in₀, out₀, in₁, out₁, …]`) element-wise with `combine`, then accept
+/// iff the global counts are equal — a degenerate mismatch no
+/// fingerprint is guaranteed to catch — and every pair agrees.
+fn lanes_agree<T: Wire + Clone + PartialEq>(
+    comm: &mut Comm,
+    counts: (u64, u64),
+    lanes: Vec<T>,
+    combine: impl Fn(T, T) -> T,
+) -> bool {
+    let ((n_in, n_out), Run(lanes)) = comm.allreduce((counts, Run(lanes)), |a, b| {
+        (
+            (a.0 .0 + b.0 .0, a.0 .1 + b.0 .1),
+            a.1.zip_with(b.1, &combine),
+        )
+    });
+    n_in == n_out && lanes.chunks_exact(2).all(|pair| pair[0] == pair[1])
 }
 
 /// One prepared fingerprint instance: the seeded hash function or the
@@ -549,19 +553,72 @@ mod tests {
 
     #[test]
     fn distributed_poly_methods() {
+        // The per-lane multiplicative combiners, at one and at many
+        // lanes: a true permutation is accepted, one changed element is
+        // caught (failure ≤ n/2⁶¹ per instance).
         for method in [PermMethod::PolyField, PermMethod::PolyGf64] {
-            let cfg = PermCheckConfig {
-                method,
-                iterations: 1,
+            for iterations in [1, 4, 16] {
+                let cfg = PermCheckConfig { method, iterations };
+                for p in [2usize, 3, 5] {
+                    for corrupt in [false, true] {
+                        let verdicts = run(p, |comm| {
+                            let (rank, p) = (comm.rank() as u64, p as u64);
+                            let input: Vec<u64> = (0..100).map(|i| rank * 100 + i).collect();
+                            let mut output: Vec<u64> =
+                                (0..100 * p).filter(|x| x % p == rank).collect();
+                            if corrupt && comm.rank() == p as usize - 1 {
+                                output[7] += 1;
+                            }
+                            let checker = PermChecker::new(cfg, 5);
+                            checker.check(comm, &input, &output)
+                        });
+                        assert!(
+                            verdicts.iter().all(|&v| v != corrupt),
+                            "{method:?} iterations={iterations} p={p} corrupt={corrupt}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn count_mismatch_with_equal_fingerprints_rejects() {
+        // An extra output element whose factor is the identity of the
+        // fold (`z − x = 1`, `z ⊕ x = 1`, `h(x) mod 2 = 0`) leaves every
+        // fingerprint pair equal: only the counts in the same message
+        // can reject it.
+        let one_bit_hash = PermCheckConfig::hash_sum(HasherKind::Tab64, 1);
+        let poly = |method| PermCheckConfig {
+            method,
+            iterations: 1,
+        };
+        for cfg in [
+            one_bit_hash,
+            poly(PermMethod::PolyField),
+            poly(PermMethod::PolyGf64),
+        ] {
+            let checker = PermChecker::new(cfg, 3);
+            let invisible = match checker.instances[0] {
+                PermInstance::HashSum { ref h, mask } => {
+                    (0..).find(|&x| h.hash(x) & mask == 0).unwrap()
+                }
+                PermInstance::PolyField { z } => Mersenne61::sub(z, 1),
+                PermInstance::PolyGf64 { z } => z ^ 1,
             };
-            let verdicts = run(3, |comm| {
-                let rank = comm.rank() as u64;
-                let input: Vec<u64> = (0..100).map(|i| rank * 100 + i).collect();
-                let output: Vec<u64> = (0..300u64).filter(|x| x % 3 == rank).collect();
-                let checker = PermChecker::new(cfg, 5);
-                checker.check(comm, &input, &output)
+            let verdicts = run(2, |comm| {
+                let input: Vec<u64> = (0..50).map(|i| 1000 * comm.rank() as u64 + i).collect();
+                let mut output = input.clone();
+                if comm.rank() == 1 {
+                    output.push(invisible);
+                }
+                let (mut in_sk, mut out_sk) = (checker.sketch(), checker.sketch());
+                in_sk.update_iter(input.iter().copied());
+                out_sk.update_iter(output.iter().copied());
+                assert_eq!(in_sk.accs, out_sk.accs, "{cfg:?}: fingerprints must tie");
+                checker.check_distributed_sketches(comm, in_sk, out_sk)
             });
-            assert!(verdicts.iter().all(|&v| v), "{method:?}");
+            assert!(verdicts.iter().all(|&v| !v), "{cfg:?}");
         }
     }
 

@@ -18,6 +18,7 @@ use ccheck_hashing::Hasher;
 use ccheck_net::Comm;
 
 use crate::permutation::PermChecker;
+use crate::sort::{summaries_ordered, ShareSummary};
 
 /// Seeded digest folding a (key, value) pair into one u64 for the
 /// permutation fingerprint. Per-run seeding prevents adversarial
@@ -126,21 +127,15 @@ pub fn check_range_redistribution(
     let splitters_ok =
         crate::integrity::replicated_consistent(comm, &splitters.to_vec(), seed ^ 0x53504C);
 
-    // Boundary exchange over the combined key range of both relations.
-    let local_min = r_post.iter().chain(s_post).map(|&(k, _)| k).min();
-    let local_max = r_post.iter().chain(s_post).map(|&(k, _)| k).max();
-    let summary = local_min.zip(local_max);
-    let all: Vec<Option<(u64, u64)>> = comm.allgather(summary);
-    let mut boundary_ok = true;
-    let mut prev_max: Option<u64> = None;
-    for (mn, mx) in all.into_iter().flatten() {
-        if let Some(pm) = prev_max {
-            if mn < pm {
-                boundary_ok = false;
-            }
-        }
-        prev_max = Some(mx);
-    }
+    // Boundary exchange over the combined key range of both relations;
+    // a share that fails its placement test says so in the same exchange.
+    let keys = || r_post.iter().chain(s_post).map(|&(k, _)| k);
+    let summary = match (local_ok, keys().min(), keys().max()) {
+        (false, ..) => ShareSummary::Failed,
+        (true, Some(min), Some(max)) => ShareSummary::Span { min, max },
+        (true, ..) => ShareSummary::Empty,
+    };
+    let placed_and_ordered = summaries_ordered(comm, summary);
 
     let digest_seed = seed ^ 0x736F_7274_6A6E;
     let ok_r = perm.check(
@@ -154,7 +149,7 @@ pub fn check_range_redistribution(
         &digest_all(digest_seed ^ 1, s_post),
     );
 
-    comm.all_agree(local_ok) && splitters_ok && boundary_ok && ok_r && ok_s
+    placed_and_ordered && splitters_ok && ok_r && ok_s
 }
 
 #[cfg(test)]

@@ -6,52 +6,134 @@
 //! boundaries. The permutation part is probabilistic (Theorem 6); parts
 //! (b) and (c) are deterministic.
 
-use ccheck_net::Comm;
+use ccheck_net::{Comm, Wire};
 
 use crate::permutation::PermChecker;
 
-/// Is this PE's share ascending?
-fn locally_sorted(data: &[u64]) -> bool {
-    data.windows(2).all(|w| w[0] <= w[1])
+/// What one PE contributes to the boundary exchange: its share's ends,
+/// or the fact that the share already fails on its own. Sending the
+/// local verdict *inside* the exchange is what saves the separate
+/// `all_agree` round.
+///
+/// On the wire it is `Option<(u64, u64)>` with a third tag: `0` empty,
+/// `1` + `min` + `max`, `2` failed — the local verdict costs no byte
+/// of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ShareSummary {
+    /// No elements here; the neighbours are compared with each other.
+    Empty,
+    /// A share that passes its local test (ascending; for the range
+    /// redistribution checker, every key in this PE's range) and spans
+    /// these values.
+    Span { min: u64, max: u64 },
+    /// The share fails its local test.
+    Failed,
 }
 
-/// Deterministic cross-PE boundary check: every PE's maximum must not
-/// exceed any later PE's minimum.
+impl ShareSummary {
+    /// Summary of a share taken to be ascending: only its ends are read.
+    fn ends(data: &[u64]) -> Self {
+        match (data.first(), data.last()) {
+            (Some(&min), Some(&max)) => ShareSummary::Span { min, max },
+            _ => ShareSummary::Empty,
+        }
+    }
+
+    /// Summary of a share after testing that it is ascending.
+    fn of(data: &[u64]) -> Self {
+        if data.windows(2).all(|w| w[0] <= w[1]) {
+            Self::ends(data)
+        } else {
+            ShareSummary::Failed
+        }
+    }
+}
+
+impl Wire for ShareSummary {
+    fn write(&self, buf: &mut Vec<u8>) {
+        match *self {
+            ShareSummary::Empty => buf.push(0),
+            ShareSummary::Span { min, max } => {
+                buf.push(1);
+                (min, max).write(buf);
+            }
+            ShareSummary::Failed => buf.push(2),
+        }
+    }
+    fn read(input: &mut &[u8]) -> Option<Self> {
+        match u8::read(input)? {
+            0 => Some(ShareSummary::Empty),
+            1 => {
+                let (min, max) = Wire::read(input)?;
+                Some(ShareSummary::Span { min, max })
+            }
+            2 => Some(ShareSummary::Failed),
+            _ => None,
+        }
+    }
+    fn wire_size(&self) -> usize {
+        match self {
+            ShareSummary::Span { .. } => 17,
+            ShareSummary::Empty | ShareSummary::Failed => 1,
+        }
+    }
+}
+
+/// The one collective of every sortedness check: gather all PEs'
+/// summaries and accept iff no share failed locally and every share's
+/// minimum is at least the maximum of the nearest non-empty share before
+/// it. Every PE returns the same verdict.
 ///
 /// The paper exchanges boundaries with direct neighbors (O(1) volume);
-/// we gather the per-PE `(min, max)` summaries instead (O(p) volume,
-/// still independent of n) because it handles empty PEs without a chain
-/// of forwarding rounds. Every PE returns the same verdict.
-pub fn check_boundaries(comm: &mut Comm, data: &[u64]) -> bool {
-    let summary: Option<(u64, u64)> = if data.is_empty() {
-        None
-    } else {
-        Some((data[0], data[data.len() - 1]))
-    };
-    let all: Vec<Option<(u64, u64)>> = comm.allgather(summary);
+/// we gather the per-PE summaries instead — **one allgather** of at most
+/// 17 bytes per PE (O(p) volume, still independent of n and of the
+/// checker's `iterations`) — because it handles empty PEs without a
+/// chain of forwarding rounds.
+pub(crate) fn summaries_ordered(comm: &mut Comm, mine: ShareSummary) -> bool {
     let mut prev_max: Option<u64> = None;
-    for (min, max) in all.into_iter().flatten() {
-        if let Some(pm) = prev_max {
-            if min < pm {
-                return false;
+    for summary in comm.allgather(mine) {
+        match summary {
+            ShareSummary::Empty => {}
+            ShareSummary::Span { min, max } => {
+                if prev_max.is_some_and(|pm| min < pm) {
+                    return false;
+                }
+                prev_max = Some(max);
             }
+            ShareSummary::Failed => return false,
         }
-        prev_max = Some(max);
     }
     true
 }
 
+/// Deterministic cross-PE boundary check: every PE's maximum must not
+/// exceed any later PE's minimum. Only the ends of `data` are read — the
+/// caller vouches for (or separately agrees on) local sortedness; use
+/// [`check_globally_sorted`] to have both in the one exchange. Costs one
+/// allgather of a 1- or 17-byte summary per PE. Every PE returns the
+/// same verdict.
+pub fn check_boundaries(comm: &mut Comm, data: &[u64]) -> bool {
+    summaries_ordered(comm, ShareSummary::ends(data))
+}
+
+/// Parts (b) and (c) of the sort check in one allgather: every PE's
+/// share is ascending and the shares are ordered across PE boundaries.
+/// Every PE returns the same verdict.
+pub fn check_globally_sorted(comm: &mut Comm, data: &[u64]) -> bool {
+    summaries_ordered(comm, ShareSummary::of(data))
+}
+
 /// Distributed sort check (Theorem 7): `output` must be a globally
 /// sorted permutation of `input`. Every PE returns the same verdict.
+/// Two collectives: the permutation checker's allreduce and the
+/// sortedness allgather.
 ///
 /// One-sided error: correct results are always accepted; an unsorted or
 /// non-permutation output is accepted with probability at most the
 /// permutation checker's failure bound.
 pub fn check_sorted(comm: &mut Comm, input: &[u64], output: &[u64], perm: &PermChecker) -> bool {
     let is_perm = perm.check(comm, input, output);
-    let local_ok = locally_sorted(output);
-    let boundaries_ok = check_boundaries(comm, output);
-    comm.all_agree(local_ok) && boundaries_ok && is_perm
+    check_globally_sorted(comm, output) && is_perm
 }
 
 /// Merge checker (Corollary 13): `output` must be a globally sorted
@@ -64,9 +146,7 @@ pub fn check_merge(
     perm: &PermChecker,
 ) -> bool {
     let is_perm = perm.check_concat(comm, &[s1, s2], output);
-    let local_ok = locally_sorted(output);
-    let boundaries_ok = check_boundaries(comm, output);
-    comm.all_agree(local_ok) && boundaries_ok && is_perm
+    check_globally_sorted(comm, output) && is_perm
 }
 
 #[cfg(test)]
@@ -75,6 +155,8 @@ mod tests {
     use crate::permutation::PermCheckConfig;
     use ccheck_hashing::HasherKind;
     use ccheck_net::run;
+    use ccheck_net::wire::{decode, encode};
+    use proptest::prelude::*;
 
     fn perm_cfg() -> PermCheckConfig {
         PermCheckConfig::hash_sum(HasherKind::Tab64, 32)
@@ -194,6 +276,101 @@ mod tests {
             check_boundaries(comm, &[7u64, 7, 7])
         });
         assert!(verdicts.iter().all(|&v| v));
+    }
+
+    /// One world holding every state of the summary: a sorted share, an
+    /// empty one, a share of equal values tying both neighbours, and a
+    /// last share that is ascending or — with ends that still look
+    /// ordered — not.
+    fn four_state_world(comm: &Comm, last_sorted: bool) -> Vec<u64> {
+        match comm.rank() {
+            0 => vec![1, 5, 9],
+            1 => vec![],
+            2 => vec![9, 9],
+            _ if last_sorted => vec![9, 10, 11, 12],
+            _ => vec![9, 11, 10, 12],
+        }
+    }
+
+    #[test]
+    fn one_exchange_carries_empty_sorted_and_unsorted_shares() {
+        let verdicts = run(4, |comm| {
+            let data = four_state_world(comm, true);
+            (
+                check_globally_sorted(comm, &data),
+                check_boundaries(comm, &data),
+            )
+        });
+        assert!(verdicts.iter().all(|&v| v == (true, true)), "{verdicts:?}");
+
+        // Only the failed state can reject here: the unsorted share's
+        // ends are in order, which is all `check_boundaries` reads.
+        let verdicts = run(4, |comm| {
+            let data = four_state_world(comm, false);
+            (
+                check_globally_sorted(comm, &data),
+                check_boundaries(comm, &data),
+            )
+        });
+        assert!(verdicts.iter().all(|&v| v == (false, true)), "{verdicts:?}");
+    }
+
+    #[test]
+    fn sortedness_check_is_one_allgather_of_the_old_boundary_bytes() {
+        use ccheck_net::run_with_stats;
+        let (_, one) = run_with_stats(4, |comm| {
+            let data = four_state_world(comm, true);
+            check_globally_sorted(comm, &data)
+        });
+        let (_, gather) = run_with_stats(4, |comm| {
+            let data = four_state_world(comm, true);
+            comm.allgather(data.first().copied().zip(data.last().copied()))
+        });
+        assert_eq!(one.total_bytes(), gather.total_bytes());
+        assert_eq!(one.total_messages(), gather.total_messages());
+        assert_eq!(one.max_rounds(), gather.max_rounds());
+    }
+
+    #[test]
+    fn summary_states() {
+        assert_eq!(ShareSummary::of(&[]), ShareSummary::Empty);
+        assert_eq!(
+            ShareSummary::of(&[4]),
+            ShareSummary::Span { min: 4, max: 4 }
+        );
+        assert_eq!(
+            ShareSummary::of(&[4, 4, 6]),
+            ShareSummary::Span { min: 4, max: 6 }
+        );
+        assert_eq!(ShareSummary::of(&[4, 3, 6]), ShareSummary::Failed);
+        assert_eq!(
+            ShareSummary::ends(&[4, 3, 6]),
+            ShareSummary::Span { min: 4, max: 6 }
+        );
+        assert_eq!(decode::<ShareSummary>(&[3]), None, "unknown tag");
+    }
+
+    proptest! {
+        /// The summary round-trips, a clean one is byte for byte the
+        /// `Option<(u64, u64)>` it replaced, and every proper prefix of
+        /// an encoding is malformed.
+        #[test]
+        fn prop_summary_wire_roundtrip(state in 0u8..3, min: u64, max: u64) {
+            let (summary, old) = match state {
+                0 => (ShareSummary::Empty, Some(None)),
+                1 => (ShareSummary::Span { min, max }, Some(Some((min, max)))),
+                _ => (ShareSummary::Failed, None),
+            };
+            let buf = encode(&summary);
+            prop_assert_eq!(buf.len(), summary.wire_size());
+            prop_assert_eq!(decode::<ShareSummary>(&buf), Some(summary));
+            if let Some(old) = old {
+                prop_assert_eq!(&buf, &encode::<Option<(u64, u64)>>(&old));
+            }
+            for cut in 0..buf.len() {
+                prop_assert_eq!(decode::<ShareSummary>(&buf[..cut]), None);
+            }
+        }
     }
 
     #[test]

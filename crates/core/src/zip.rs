@@ -7,7 +7,8 @@
 //! with a pseudo-random sequence `R = ⟨h′(1), h′(2), …⟩`: since `h′`
 //! is evaluated on *global* indices, each PE computes its partial sum
 //! locally ("computed on the fly and without communication") after one
-//! prefix-sum establishes its global offset.
+//! prefix-sum over the three lengths establishes its global offsets; one
+//! allreduce over every iteration's fingerprints gives the verdict.
 //!
 //! The fingerprint lives in 𝔽_{2⁶¹−1}: `F(S) = Σᵢ h′(i)·h(xᵢ) mod p`,
 //! combined across PEs by field addition. Two sequences agreeing on the
@@ -21,6 +22,7 @@
 
 use ccheck_hashing::field::Mersenne61;
 use ccheck_hashing::{Hasher, HasherKind};
+use ccheck_net::wire::Run;
 use ccheck_net::Comm;
 
 use crate::sketch::{for_each_block, Sketch, BLOCK};
@@ -117,9 +119,14 @@ impl ZipChecker {
     /// Streaming form of [`ZipChecker::check`]: each sequence arrives as
     /// `(local_len, stream)` — the length is needed *before* the stream
     /// is consumed because the position-sensitive hash must know this
-    /// PE's global offset (one prefix sum), which is exactly why a
-    /// slice-free API must declare it. Memory is O(iterations) per PE;
-    /// communication is byte-identical to the slice path.
+    /// PE's global offset, which is exactly why a slice-free API must
+    /// declare it. Memory is O(iterations) per PE.
+    ///
+    /// **Two collectives**, whatever `iterations` is: one prefix sum over
+    /// the three lengths (24 bytes a message) and one allreduce over all
+    /// `4·iterations` fingerprints as a prefix-free [`Run`]
+    /// (`32·iterations` bytes). Communication is byte-identical to the
+    /// slice path, and unequal global lengths reject after the first.
     ///
     /// # Panics
     /// Panics if a stream yields a different number of elements than
@@ -136,9 +143,8 @@ impl ZipChecker {
         J: IntoIterator<Item = u64>,
         Z: IntoIterator<Item = (u64, u64)>,
     {
-        let (s1_start, n1) = comm.exclusive_prefix_sum(s1.0);
-        let (s2_start, n2) = comm.exclusive_prefix_sum(s2.0);
-        let (z_start, nz) = comm.exclusive_prefix_sum(zipped.0);
+        let ([s1_start, s2_start, z_start], [n1, n2, nz]) =
+            comm.exclusive_prefix_sums([s1.0, s2.0, zipped.0]);
         if n1 != n2 || n1 != nz {
             return false;
         }
@@ -155,27 +161,12 @@ impl ZipChecker {
             zipped.0,
             "zipped stream shorter/longer than declared"
         );
-        let mut ok = true;
-        for iter in 0..self.cfg.iterations {
-            let (g1, gz1, g2, gz2) = comm.allreduce(
-                (
-                    f1.accs[iter],
-                    fz.first.accs[iter],
-                    f2.accs[iter],
-                    fz.second.accs[iter],
-                ),
-                |a, b| {
-                    (
-                        Mersenne61::add(a.0, b.0),
-                        Mersenne61::add(a.1, b.1),
-                        Mersenne61::add(a.2, b.2),
-                        Mersenne61::add(a.3, b.3),
-                    )
-                },
-            );
-            ok &= g1 == gz1 && g2 == gz2;
-        }
-        ok
+        // Per iteration `[F(s1), F(z.first), F(s2), F(z.second)]`.
+        let lanes = (0..self.cfg.iterations)
+            .flat_map(|i| [f1.accs[i], fz.first.accs[i], f2.accs[i], fz.second.accs[i]])
+            .collect();
+        let Run(lanes) = comm.allreduce(Run(lanes), |a, b| a.zip_with(b, Mersenne61::add));
+        lanes.chunks_exact(2).all(|pair| pair[0] == pair[1])
     }
 }
 
@@ -491,6 +482,43 @@ mod tests {
                 verdicts.iter().all(|&(s, t)| s == t && s != corrupt),
                 "corrupt={corrupt}: {verdicts:?}"
             );
+        }
+    }
+
+    #[test]
+    fn every_lane_of_the_one_allreduce_is_compared() {
+        // One changed component must be caught through its own lane pair
+        // at 1, 4 and 16 iterations, and a correct zip accepted.
+        let n = 90usize;
+        let s1: Vec<u64> = (0..n as u64).map(|i| i * 3).collect();
+        let s2: Vec<u64> = (0..n as u64).map(|i| 7_000 + i).collect();
+        let zipped: Vec<(u64, u64)> = s1.iter().copied().zip(s2.iter().copied()).collect();
+        for iterations in [1, 4, 16] {
+            let cfg = ZipCheckConfig {
+                hasher: HasherKind::Tab64,
+                iterations,
+            };
+            for p in [2, 3, 5] {
+                for corrupt in [None, Some(0), Some(1)] {
+                    let verdicts = run(p, |comm| {
+                        let mut z = chunk_pairs(&zipped, comm.rank(), p);
+                        if comm.rank() == p - 1 {
+                            match corrupt {
+                                Some(0) => z[0].0 ^= 1,
+                                Some(_) => z[0].1 ^= 1,
+                                None => {}
+                            }
+                        }
+                        let a = chunk(&s1, comm.rank(), p);
+                        let b = chunk(&s2, comm.rank(), p);
+                        ZipChecker::new(cfg, 11).check(comm, &a, &b, &z)
+                    });
+                    assert!(
+                        verdicts.iter().all(|&v| v == corrupt.is_none()),
+                        "iterations={iterations} p={p} corrupt={corrupt:?}: {verdicts:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -213,11 +213,24 @@ impl Comm {
     /// returns `(Σ_{j<i} value_j, Σ_j value_j)`. The workhorse for global
     /// element indexing in the dataflow layer and the Zip checker.
     pub fn exclusive_prefix_sum(&mut self, value: u64) -> (u64, u64) {
-        let inclusive = self.scan(value, |a, b| a + b);
-        let exclusive = inclusive - value;
-        // Total = inclusive sum at the last PE.
-        let total = self.broadcast(self.size() - 1, inclusive);
+        let ([exclusive], [total]) = self.exclusive_prefix_sums([value]);
         (exclusive, total)
+    }
+
+    /// [`Comm::exclusive_prefix_sum`] over `K` independent counters in
+    /// the rounds of one: returns `(exclusive prefixes, totals)`. An
+    /// array has no length prefix on the wire, so the messages are the
+    /// `K` scalar ones laid end to end.
+    pub fn exclusive_prefix_sums<const K: usize>(
+        &mut self,
+        values: [u64; K],
+    ) -> ([u64; K], [u64; K]) {
+        let add = |a: [u64; K], b: [u64; K]| std::array::from_fn(|i| a[i] + b[i]);
+        let inclusive = self.scan(values, add);
+        let exclusive = std::array::from_fn(|i| inclusive[i] - values[i]);
+        // Totals = inclusive sums at the last PE.
+        let totals = self.broadcast(self.size() - 1, inclusive);
+        (exclusive, totals)
     }
 
     /// Personalized all-to-all: `outgoing[j]` is delivered to PE j, and the
@@ -626,6 +639,29 @@ mod tests {
         });
         // values: 10, 20, 30, 40 → prefixes 0, 10, 30, 60; total 100
         assert_eq!(out, vec![(0, 100), (10, 100), (30, 100), (60, 100)]);
+    }
+
+    #[test]
+    fn prefix_sums_of_a_triple_match_three_scalar_calls() {
+        for p in [1, 2, 3, 5] {
+            let values = |rank: usize| [rank as u64 + 1, 10 * rank as u64, 7];
+            let (scalar, scalar_stats) = run_with_stats(p, |comm| {
+                values(comm.rank()).map(|v| comm.exclusive_prefix_sum(v))
+            });
+            let (triple, triple_stats) =
+                run_with_stats(p, |comm| comm.exclusive_prefix_sums(values(comm.rank())));
+            for (s, (prefixes, totals)) in scalar.iter().zip(&triple) {
+                assert_eq!(s.map(|(prefix, _)| prefix), *prefixes, "p={p}");
+                assert_eq!(s.map(|(_, total)| total), *totals, "p={p}");
+            }
+            // Same bytes, a third of the messages and rounds.
+            assert_eq!(triple_stats.total_bytes(), scalar_stats.total_bytes());
+            assert_eq!(
+                3 * triple_stats.total_messages(),
+                scalar_stats.total_messages()
+            );
+            assert_eq!(3 * triple_stats.max_rounds(), scalar_stats.max_rounds());
+        }
     }
 
     #[test]

@@ -223,6 +223,65 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
     }
 }
 
+/// A run of fixed-width words (`u64`, `u128`, …) that fills **the rest of
+/// its message**: the words are written back to back with no length
+/// prefix, and `read` consumes the input to its end. Both ends know the
+/// word count from their shared configuration, so a prefix would be eight
+/// bytes per message that say nothing; the checkers use it to send all
+/// their per-iteration accumulators as the lanes of one collective.
+///
+/// Only meaningful as the **last** field of a message — anything written
+/// after it would be swallowed by `read`. A trailing partial word decodes
+/// to `None`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Run<T>(pub Vec<T>);
+
+impl<T> Default for Run<T> {
+    fn default() -> Self {
+        Run(Vec::new())
+    }
+}
+
+impl<T> Run<T> {
+    /// Element-wise `op` over two runs of the same length — the combiner
+    /// shape of an allreduce over independent lanes.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ (the PEs disagree on the lane count).
+    pub fn zip_with(self, other: Self, op: impl Fn(T, T) -> T) -> Self {
+        assert_eq!(self.0.len(), other.0.len(), "lane counts differ");
+        Run(self
+            .0
+            .into_iter()
+            .zip(other.0)
+            .map(|(a, b)| op(a, b))
+            .collect())
+    }
+}
+
+impl<T: Wire> Wire for Run<T> {
+    fn write(&self, buf: &mut Vec<u8>) {
+        for word in &self.0 {
+            word.write(buf);
+        }
+    }
+    fn read(input: &mut &[u8]) -> Option<Self> {
+        let mut words = Vec::new();
+        while !input.is_empty() {
+            let before = input.len();
+            words.push(T::read(input)?);
+            // A zero-width word would never drain the input.
+            if input.len() == before {
+                return None;
+            }
+        }
+        Some(Run(words))
+    }
+    fn wire_size(&self) -> usize {
+        self.0.iter().map(Wire::wire_size).sum()
+    }
+}
+
 impl Wire for String {
     fn write(&self, buf: &mut Vec<u8>) {
         (self.len() as u64).write(buf);
@@ -329,6 +388,28 @@ mod tests {
     }
 
     #[test]
+    fn run_has_no_prefix_and_reads_to_the_end() {
+        let run = Run(vec![1u64, 2, 3]);
+        assert_eq!(encode(&run), encode(&(1u64, 2u64, 3u64)));
+        roundtrip(run);
+        roundtrip(Run::<u128>(Vec::new()));
+        // As the last field of a message it takes whatever follows the head.
+        let msg = ((7u64, 8u64), Run(vec![u128::MAX, 5]));
+        assert_eq!(msg.wire_size(), 16 + 32);
+        roundtrip(msg);
+        // A trailing partial word is malformed, and a zero-width word
+        // cannot fill anything.
+        assert_eq!(decode::<Run<u64>>(&[0; 12]), None);
+        assert_eq!(decode::<Run<()>>(&[0]), None);
+    }
+
+    #[test]
+    fn run_zip_with_is_elementwise() {
+        let sum = Run(vec![1u64, 2]).zip_with(Run(vec![10, 20]), |a, b| a + b);
+        assert_eq!(sum, Run(vec![11, 22]));
+    }
+
+    #[test]
     fn nan_roundtrips_bitwise() {
         let v = f64::from_bits(0x7FF8_0000_0000_1234);
         let buf = encode(&v);
@@ -421,6 +502,26 @@ mod tests {
         #[test]
         fn prop_roundtrip_string(v: String) { roundtrip(v); }
 
+        // The prefix-free word run: exactly 8 bytes a word, round-trips
+        // behind a fixed-size head, and any cut that is not on a word
+        // boundary is malformed.
+        #[test]
+        fn prop_roundtrip_run(head: (u64, u64), words: Vec<u64>, wide: Vec<u128>, cut: usize) {
+            roundtrip(Run(wide));
+            let msg = (head, Run(words));
+            let buf = encode(&msg);
+            prop_assert_eq!(buf.len(), 16 + 8 * msg.1 .0.len());
+            let cut = cut % (buf.len() + 1);
+            let decoded = decode::<((u64, u64), Run<u64>)>(&buf[..cut]);
+            if cut >= 16 && (cut - 16).is_multiple_of(8) {
+                let kept = msg.1 .0[..(cut - 16) / 8].to_vec();
+                prop_assert_eq!(decoded, Some((head, Run(kept))));
+            } else {
+                prop_assert_eq!(decoded, None);
+            }
+            roundtrip(msg);
+        }
+
         // Composites nesting multiple impls, including the
         // `Vec<(u64, u64)>` shape the collectives put on the wire.
         #[test]
@@ -454,6 +555,7 @@ mod tests {
             let _ = decode::<Vec<Option<u64>>>(&bytes);
             let _ = decode::<(u64, u64, u64)>(&bytes);
             let _ = decode::<[u64; 4]>(&bytes);
+            let _ = decode::<((u64, u64), Run<u128>)>(&bytes);
         }
 
         #[test]

@@ -16,7 +16,11 @@ fn world_gather(comm: &mut Comm, counter: &str, hist: &str) -> Option<ccheck_obs
     // Rank r observes 2^r: every rank lands in its own bucket, so the
     // merged histogram must show one observation in each.
     reg.histogram(hist).observe(1u64 << comm.rank());
-    comm.barrier();
+    // Synchronise with an allreduce, not a barrier: a barrier's messages
+    // are empty, so after one `net.tx.bytes` can still read 0 at rank 0
+    // (it snapshots before the other ranks send theirs). Here every rank
+    // has received a counted, non-empty message before it snapshots.
+    assert_eq!(comm.allreduce(1u64, |a, b| a + b), P as u64);
     let gathered = comm.gather_metrics();
     if comm.rank() == 0 {
         let (world, per_pe) = gathered.expect("rank 0 receives the world view");

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use ccheck::config::SumCheckConfig;
 use ccheck::permutation::{PermCheckConfig, PermChecker};
-use ccheck::sort::check_boundaries;
+use ccheck::sort::check_globally_sorted;
 use ccheck::zip::{ZipCheckConfig, ZipChecker};
 use ccheck::SumChecker;
 use ccheck_dataflow::{
@@ -163,22 +163,28 @@ fn check_seed(spec: &JobSpec) -> u64 {
     mix(spec.seed ^ 0xC4EC_u64 ^ ((spec.op as u64) << 56))
 }
 
-/// Order-insensitive digest of a pair multiset, combined across PEs.
-fn digest_pairs(comm: &mut Comm, pairs: &[(u64, u64)]) -> u64 {
-    let local = pairs
+/// This PE's term of the order-insensitive digest of a pair multiset.
+fn digest_pairs(pairs: &[(u64, u64)]) -> u64 {
+    pairs
         .iter()
-        .fold(0u64, |acc, &(k, v)| acc.wrapping_add(mix(k ^ mix(v))));
-    comm.allreduce(local, u64::wrapping_add)
+        .fold(0u64, |acc, &(k, v)| acc.wrapping_add(mix(k ^ mix(v))))
 }
 
-/// Order-*sensitive* digest of a distributed sequence (position-mixed),
-/// combined across PEs — sorted/zipped outputs are sequences, so two
-/// outputs with equal multisets but different orders must differ.
-fn digest_sequence(comm: &mut Comm, start: u64, items: impl Iterator<Item = u64>) -> u64 {
-    let local = items.enumerate().fold(0u64, |acc, (offset, x)| {
+/// This PE's term of the order-*sensitive* digest of a distributed
+/// sequence (position-mixed) — sorted/zipped outputs are sequences, so
+/// two outputs with equal multisets but different orders must differ.
+fn digest_sequence(start: u64, items: impl Iterator<Item = u64>) -> u64 {
+    items.enumerate().fold(0u64, |acc, (offset, x)| {
         acc.wrapping_add(mix(x ^ mix(start + offset as u64)))
-    });
-    comm.allreduce(local, u64::wrapping_add)
+    })
+}
+
+/// The receipt's `(digest, output_elems)`: every PE's digest term and
+/// output length, summed in one allreduce.
+fn receipt_totals(comm: &mut Comm, local_digest: u64, local_elems: usize) -> (u64, u64) {
+    comm.allreduce((local_digest, local_elems as u64), |a, b| {
+        (a.0.wrapping_add(b.0), a.1 + b.1)
+    })
 }
 
 /// Per-job trace-correlation id: the `(tenant, job_id, admit_seq)`
@@ -380,8 +386,7 @@ fn reduce_oneshot(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verd
     let checked_us = t_checked.elapsed().as_micros() as u64;
     ph.execute_us += op_us.get();
     ph.check_us += checked_us.saturating_sub(op_us.get());
-    let digest = digest_pairs(comm, &out);
-    let total_out = comm.allreduce(out.len() as u64, |a, b| a + b);
+    let (digest, total_out) = receipt_totals(comm, digest_pairs(&out), out.len());
     (outcome_verdict(outcome), digest, total_out)
 }
 
@@ -416,8 +421,7 @@ fn reduce_chunked(
     } else {
         Verdict::Rejected
     };
-    let digest = digest_pairs(comm, &shard);
-    let total_out = comm.allreduce(shard.len() as u64, |a, b| a + b);
+    let (digest, total_out) = receipt_totals(comm, digest_pairs(&shard), shard.len());
     (verdict, digest, total_out)
 }
 
@@ -458,8 +462,8 @@ fn sort_oneshot(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdic
     ph.execute_us += op_us.get();
     ph.check_us += checked_us.saturating_sub(op_us.get());
     let (start, _) = comm.exclusive_prefix_sum(out.len() as u64);
-    let digest = digest_sequence(comm, start, out.iter().copied());
-    let total_out = comm.allreduce(out.len() as u64, |a, b| a + b);
+    let local_digest = digest_sequence(start, out.iter().copied());
+    let (digest, total_out) = receipt_totals(comm, local_digest, out.len());
     (outcome_verdict(outcome), digest, total_out)
 }
 
@@ -487,9 +491,7 @@ fn sort_chunked_job(
     let perm = perm_checker(spec);
     let ok = timed(&mut ph.check_us, || {
         let is_perm = perm.check_stream(comm, input, out.iter().copied());
-        let local_ok = out.windows(2).all(|w| w[0] <= w[1]);
-        let boundaries_ok = check_boundaries(comm, &out);
-        comm.all_agree(local_ok) && boundaries_ok && is_perm
+        check_globally_sorted(comm, &out) && is_perm
     });
     let verdict = if ok {
         Verdict::Verified
@@ -497,8 +499,8 @@ fn sort_chunked_job(
         Verdict::Rejected
     };
     let (start, _) = comm.exclusive_prefix_sum(out.len() as u64);
-    let digest = digest_sequence(comm, start, out.iter().copied());
-    let total_out = comm.allreduce(out.len() as u64, |a, b| a + b);
+    let local_digest = digest_sequence(start, out.iter().copied());
+    let (digest, total_out) = receipt_totals(comm, local_digest, out.len());
     (verdict, digest, total_out)
 }
 
@@ -545,12 +547,8 @@ fn zip_job(
         Verdict::Rejected
     };
     let (start, _) = comm.exclusive_prefix_sum(out.len() as u64);
-    let digest = digest_sequence(
-        comm,
-        start,
-        out.iter().map(|&(x, y)| mix(x).wrapping_add(y)),
-    );
-    let total_out = comm.allreduce(out.len() as u64, |a, b| a + b);
+    let local_digest = digest_sequence(start, out.iter().map(|&(x, y)| mix(x).wrapping_add(y)));
+    let (digest, total_out) = receipt_totals(comm, local_digest, out.len());
     (verdict, digest, total_out)
 }
 
