@@ -2,13 +2,16 @@
 //! of `Sketch::update_iter` (the fold every checker drives — a block
 //! kernel where the sketch has one) for every sketch-backed checker,
 //! plus the cost of a chunked fold (update + merge) relative to the
-//! one-shot fold — the number that certifies chunking is free.
+//! one-shot fold — the number that certifies chunking is free — and the
+//! distributed zip check on the layouts its equal-block skip does and
+//! does not cover.
 
 use ccheck::config::SumCheckConfig;
 use ccheck::permutation::PermCheckConfig;
 use ccheck::sketch::{digest_chunked, Sketch};
 use ccheck::{PermChecker, SumChecker, XorCheckConfig, XorChecker, ZipCheckConfig, ZipChecker};
 use ccheck_hashing::HasherKind;
+use ccheck_net::run;
 use ccheck_workloads::{uniform_ints, zipf_pairs};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -96,5 +99,58 @@ fn bench_chunked_vs_one_shot(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sketch_update, bench_chunked_vs_one_shot);
+fn bench_zip_check(c: &mut Criterion) {
+    // `ZipChecker::check` on a p = 2 world at the service's 4 iterations.
+    // A clean zip split like its inputs is all equal blocks; a randomized
+    // output differs in every block, so both sides are hashed; with `b`'s
+    // boundary half a share early, each PE holds a quarter of `N` where
+    // lane 1's input and output sit on different PEs and are hashed.
+    const P: usize = 2;
+    let a = uniform_ints(11, u64::MAX, 0..N);
+    let b = uniform_ints(12, u64::MAX, 0..N);
+    let clean: Vec<(u64, u64)> = a.iter().copied().zip(b.iter().copied()).collect();
+    let randomized: Vec<(u64, u64)> = uniform_ints(13, u64::MAX, 0..N)
+        .into_iter()
+        .zip(uniform_ints(14, u64::MAX, 0..N))
+        .collect();
+    let even = [0, N / 2, N];
+    let shifted = [0, N / 4, N];
+    let zip = ZipChecker::new(
+        ZipCheckConfig {
+            hasher: HasherKind::Tab64,
+            iterations: 4,
+        },
+        1,
+    );
+
+    let mut group = c.benchmark_group("zip_check_p2");
+    group.throughput(Throughput::Elements(N as u64));
+    for (label, output, b_bounds) in [
+        ("clean co-indexed", &clean, &even),
+        ("output randomized", &randomized, &even),
+        ("b shifted half a share", &clean, &shifted),
+    ] {
+        group.bench_function(BenchmarkId::from_parameter(label), |bench| {
+            bench.iter(|| {
+                run(P, |comm| {
+                    let r = comm.rank();
+                    zip.check(
+                        comm,
+                        &a[even[r]..even[r + 1]],
+                        &b[b_bounds[r]..b_bounds[r + 1]],
+                        &output[even[r]..even[r + 1]],
+                    )
+                })
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_sketch_update,
+    bench_chunked_vs_one_shot,
+    bench_zip_check
+);
 criterion_main!(benches);

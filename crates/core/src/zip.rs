@@ -8,11 +8,23 @@
 //! is evaluated on *global* indices, each PE computes its partial sum
 //! locally ("computed on the fly and without communication") after one
 //! prefix-sum over the three lengths establishes its global offsets; one
-//! allreduce over every iteration's fingerprints gives the verdict.
+//! allreduce over every iteration's fingerprint differences gives the
+//! verdict.
 //!
 //! The fingerprint lives in 𝔽_{2⁶¹−1}: `F(S) = Σᵢ h′(i)·h(xᵢ) mod p`,
 //! combined across PEs by field addition. Two sequences agreeing on the
 //! fingerprint of every iteration differ with probability ≤ `(1/H)^its`.
+//!
+//! The check accepts iff `F(s1) − F(z.first) = 0` and `F(s2) −
+//! F(z.second) = 0` in every iteration — the paper's equalities, written
+//! as differences. `F` is linear, so each PE sends only its share of the
+//! two differences (`16·its` bytes), and an index whose input and output
+//! sit **on the same PE with equal values** contributes a zero term that
+//! needs no hashing: [`ZipChecker::check_stream`] compares such indices
+//! block by block and hashes only where they differ or are not
+//! co-located. A correct zip whose output shares an input's distribution,
+//! as `ccheck_dataflow::zip`'s does, costs one comparison per index on
+//! that lane.
 //!
 //! The per-element definition is [`Sketch::update`]; streams are folded
 //! by the block kernel behind [`Sketch::update_iter`] (see
@@ -122,11 +134,26 @@ impl ZipChecker {
     /// PE's global offset, which is exactly why a slice-free API must
     /// declare it. Memory is O(iterations) per PE.
     ///
+    /// **Accept rule:** every iteration's `F(s1) − F(z.first)` and
+    /// `F(s2) − F(z.second)`, summed over the PEs, is 0 — the same
+    /// predicate as comparing the four fingerprints, so verdicts and the
+    /// Theorem-11 bound do not depend on how it is evaluated.
+    ///
+    /// Each PE walks its three local index ranges once, in lockstep by
+    /// global index, cut into at most five segments at their ends. Where
+    /// a lane's input and output component are both on this PE, a block
+    /// of up to 256 is compared first: an equal block cancels in the
+    /// difference and is skipped unhashed, an unequal one is folded on
+    /// both sides. Where only one side is here, it is folded. The fast
+    /// path therefore needs input and output co-located and equal — true
+    /// at every index of a correct zip that adopts an input's
+    /// distribution.
+    ///
     /// **Two collectives**, whatever `iterations` is: one prefix sum over
-    /// the three lengths (24 bytes a message) and one allreduce over all
-    /// `4·iterations` fingerprints as a prefix-free [`Run`]
-    /// (`32·iterations` bytes). Communication is byte-identical to the
-    /// slice path, and unequal global lengths reject after the first.
+    /// the three lengths (24 bytes a message) and one allreduce over the
+    /// `2·iterations` differences as a prefix-free [`Run`]
+    /// (`16·iterations` bytes). Unequal global lengths reject after the
+    /// first, before any stream is consumed.
     ///
     /// # Panics
     /// Panics if a stream yields a different number of elements than
@@ -143,30 +170,137 @@ impl ZipChecker {
         J: IntoIterator<Item = u64>,
         Z: IntoIterator<Item = (u64, u64)>,
     {
-        let ([s1_start, s2_start, z_start], [n1, n2, nz]) =
-            comm.exclusive_prefix_sums([s1.0, s2.0, zipped.0]);
+        let (starts, [n1, n2, nz]) = comm.exclusive_prefix_sums([s1.0, s2.0, zipped.0]);
         if n1 != n2 || n1 != nz {
             return false;
         }
-        let mut f1 = self.sketch(0, s1_start);
-        f1.update_iter(s1.1);
-        let mut f2 = self.sketch(1, s2_start);
-        f2.update_iter(s2.1);
-        let mut fz = self.sketch_pairs(z_start);
-        fz.update_iter(zipped.1);
-        assert_eq!(f1.count(), s1.0, "s1 stream shorter/longer than declared");
-        assert_eq!(f2.count(), s2.0, "s2 stream shorter/longer than declared");
-        assert_eq!(
-            fz.first.count(),
-            zipped.0,
-            "zipped stream shorter/longer than declared"
-        );
-        // Per iteration `[F(s1), F(z.first), F(s2), F(z.second)]`.
-        let lanes = (0..self.cfg.iterations)
-            .flat_map(|i| [f1.accs[i], fz.first.accs[i], f2.accs[i], fz.second.accs[i]])
-            .collect();
+        let lanes = self.local_differences(starts, s1, s2, zipped);
         let Run(lanes) = comm.allreduce(Run(lanes), |a, b| a.zip_with(b, Mersenne61::add));
-        lanes.chunks_exact(2).all(|pair| pair[0] == pair[1])
+        lanes.iter().all(|&difference| difference == 0)
+    }
+
+    /// This PE's share of every iteration's `[F(s1) − F(z.first), F(s2) −
+    /// F(z.second)]`, from one lockstep walk over the three local ranges
+    /// starting at the global indices `starts` (see
+    /// [`ZipChecker::check_stream`]).
+    fn local_differences<I, J, Z>(
+        &self,
+        [s1_start, s2_start, z_start]: [u64; 3],
+        (n1, s1): (u64, I),
+        (n2, s2): (u64, J),
+        (nz, zipped): (u64, Z),
+    ) -> Vec<u64>
+    where
+        I: IntoIterator<Item = u64>,
+        J: IntoIterator<Item = u64>,
+        Z: IntoIterator<Item = (u64, u64)>,
+    {
+        const S1: &str = "s1 stream shorter/longer than declared";
+        const S2: &str = "s2 stream shorter/longer than declared";
+        const ZIPPED: &str = "zipped stream shorter/longer than declared";
+        let ranges = [
+            (s1_start, s1_start + n1),
+            (s2_start, s2_start + n2),
+            (z_start, z_start + nz),
+        ];
+        let mut lanes = [
+            LaneDifference {
+                input: self.sketch(0, s1_start),
+                output: self.sketch(0, z_start),
+            },
+            LaneDifference {
+                input: self.sketch(1, s2_start),
+                output: self.sketch(1, z_start),
+            },
+        ];
+        let (mut s1, mut s2, mut zipped) = (s1.into_iter(), s2.into_iter(), zipped.into_iter());
+        let mut scratch = [[0; BLOCK]; 2];
+        let (mut a, mut b) = ([0; BLOCK], [0; BLOCK]);
+        let (mut firsts, mut seconds) = ([0; BLOCK], [0; BLOCK]);
+        let mut cuts: Vec<u64> = ranges
+            .iter()
+            .flat_map(|&(start, end)| [start, end])
+            .collect();
+        cuts.sort_unstable();
+        for segment in cuts.windows(2) {
+            let (lo, hi) = (segment[0], segment[1]);
+            let [has1, has2, hasz] = ranges.map(|(start, end)| start <= lo && hi <= end);
+            if !(has1 || has2 || hasz) {
+                continue;
+            }
+            let mut at = lo;
+            while at < hi {
+                let len = (hi - at).min(BLOCK as u64) as usize;
+                if has1 {
+                    fill(&mut s1, &mut a[..len], S1);
+                }
+                if has2 {
+                    fill(&mut s2, &mut b[..len], S2);
+                }
+                if hasz {
+                    for (first, second) in firsts[..len].iter_mut().zip(&mut seconds[..len]) {
+                        (*first, *second) = zipped.next().expect(ZIPPED);
+                    }
+                }
+                let (zf, zs) = (&firsts[..len], &seconds[..len]);
+                lanes[0].fold(has1.then_some(&a[..len]), hasz.then_some(zf), &mut scratch);
+                lanes[1].fold(has2.then_some(&b[..len]), hasz.then_some(zs), &mut scratch);
+                at += len as u64;
+            }
+        }
+        assert!(s1.next().is_none(), "{S1}");
+        assert!(s2.next().is_none(), "{S2}");
+        assert!(zipped.next().is_none(), "{ZIPPED}");
+        (0..self.cfg.iterations)
+            .flat_map(|i| lanes.each_ref().map(|lane| lane.difference(i)))
+            .collect()
+    }
+}
+
+/// Fill `block` from `items`, panicking with `mismatch` if they run out.
+fn fill(items: &mut impl Iterator<Item = u64>, block: &mut [u64], mismatch: &str) {
+    for slot in block {
+        *slot = items.next().expect(mismatch);
+    }
+}
+
+/// One component lane of [`ZipChecker::check_stream`]'s walk: the input
+/// sequence's sketch and the matching output component's, each with its
+/// own global-index cursor.
+struct LaneDifference<'a> {
+    input: ZipSketch<'a>,
+    output: ZipSketch<'a>,
+}
+
+impl LaneDifference<'_> {
+    /// Fold one block that sits at the next global indices of every side
+    /// given; `None` is a side this PE holds no part of there. Both sides
+    /// present and equal: their terms cancel, so both cursors advance and
+    /// nothing is hashed.
+    fn fold(
+        &mut self,
+        input: Option<&[u64]>,
+        output: Option<&[u64]>,
+        scratch: &mut [[u64; BLOCK]; 2],
+    ) {
+        if let (Some(x), Some(y)) = (input, output) {
+            if x == y {
+                self.input.next += x.len() as u64;
+                self.output.next += y.len() as u64;
+                return;
+            }
+        }
+        if let Some(x) = input {
+            self.input.fold_block(x, scratch);
+        }
+        if let Some(y) = output {
+            self.output.fold_block(y, scratch);
+        }
+    }
+
+    /// `F(input) − F(output)` of iteration `iter`, over what was folded.
+    fn difference(&self, iter: usize) -> u64 {
+        Mersenne61::sub(self.input.accs[iter], self.output.accs[iter])
     }
 }
 

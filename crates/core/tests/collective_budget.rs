@@ -108,10 +108,12 @@ fn zip_check_is_one_prefix_sum_and_one_allreduce_at_every_iteration_count() {
                         a.iter().copied().zip(b.iter().copied()).collect();
                     ZipChecker::new(cfg, 7).check(comm, &a, &b, &zipped)
                 });
+                // The length triple, then one Mersenne-61 difference per
+                // lane and iteration.
                 let p = p as u64;
                 assert_eq!(
                     bytes,
-                    prefix_sum_msgs(p) * 24 + allreduce_msgs(p) * 32 * iterations as u64,
+                    prefix_sum_msgs(p) * 24 + allreduce_msgs(p) * 16 * iterations as u64,
                     "p={p} iterations={iterations}"
                 );
                 (rounds, msgs)

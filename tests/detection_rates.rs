@@ -174,7 +174,10 @@ fn zip_checker_rejects_every_manipulation_and_accepts_every_clean_zip() {
     // point with evenly split sequences, and through `check_stream` with
     // the output distributed differently from the inputs, so `z_start ≠
     // s1_start` on every PE but the first and the 256-item blocks of the
-    // fold straddle the data differently on the two sides.
+    // fold straddle the data differently on the two sides. A third path
+    // has the layout `ccheck_dataflow::zip` produces — `a` and the output
+    // split alike, `b` not — so lane 0 is co-located and takes the
+    // equal-block skip while lane 1 is hashed.
     const N: usize = 1000;
     const TRIALS: u64 = 200;
     const EVEN: [usize; 4] = [0, 334, 667, N];
@@ -191,21 +194,29 @@ fn zip_checker_rejects_every_manipulation_and_accepts_every_clean_zip() {
         let wrong_verdicts = ccheck_net::run(3, |comm| {
             let rank = comm.rank();
             let (a, b) = (share(&s1, &EVEN, rank), share(&s2, &EVEN, rank));
+            let b_skewed = share(&s2, &SKEWED, rank);
             let mut wrong = Vec::new();
             for trial in 0..TRIALS {
                 let checker = ZipChecker::new(cfg, trial ^ 0x21D0);
-                let mut both_paths = |output: &[(u64, u64)]| {
+                let mut all_paths = |output: &[(u64, u64)]| {
                     let skewed = share(output, &SKEWED, rank);
-                    let via_check = checker.check(comm, a, b, share(output, &EVEN, rank));
+                    let even = share(output, &EVEN, rank);
+                    let via_check = checker.check(comm, a, b, even);
                     let via_stream = checker.check_stream(
                         comm,
                         (a.len() as u64, a.iter().copied()),
                         (b.len() as u64, b.iter().copied()),
                         (skewed.len() as u64, skewed.iter().copied()),
                     );
-                    (via_check, via_stream)
+                    let via_dataflow_layout = checker.check_stream(
+                        comm,
+                        (a.len() as u64, a.iter().copied()),
+                        (b_skewed.len() as u64, b_skewed.iter().copied()),
+                        (even.len() as u64, even.iter().copied()),
+                    );
+                    (via_check, via_stream, via_dataflow_layout)
                 };
-                if both_paths(&zipped) != (true, true) {
+                if all_paths(&zipped) != (true, true, true) {
                     wrong.push(format!("clean zip rejected, trial {trial}"));
                 }
                 for manip in ZipManipulator::all() {
@@ -217,7 +228,7 @@ fn zip_checker_rejects_every_manipulation_and_accepts_every_clean_zip() {
                             manip.apply(&mut bad, trial + retry * TRIALS).then_some(bad)
                         })
                         .expect("unbounded retries");
-                    if both_paths(&bad) != (false, false) {
+                    if all_paths(&bad) != (false, false, false) {
                         wrong.push(format!("{} accepted, trial {trial}", manip.label()));
                     }
                 }
