@@ -33,14 +33,26 @@ fn bench_sketch_update(c: &mut Criterion) {
     let mut group = c.benchmark_group("sketch_update");
     group.throughput(Throughput::Elements(N as u64));
 
-    let sum = SumChecker::new(SumCheckConfig::new(4, 8, 5, HasherKind::Crc32c), 1);
-    group.bench_function(BenchmarkId::from_parameter("sum 4x8 CRC m5"), |b| {
-        b.iter(|| {
-            let mut sk = sum.sketch();
-            sk.update_iter(std::hint::black_box(&pairs).iter().copied());
-            std::hint::black_box(sk.finalize())
-        })
-    });
+    // A Table 3 shape of the paper, then the service's default.
+    for (label, cfg) in [
+        (
+            "sum 4x8 CRC m5",
+            SumCheckConfig::new(4, 8, 5, HasherKind::Crc32c),
+        ),
+        (
+            "sum 4x16 Tab64 m9",
+            SumCheckConfig::new(4, 16, 9, HasherKind::Tab64),
+        ),
+    ] {
+        let sum = SumChecker::new(cfg, 1);
+        group.bench_function(BenchmarkId::from_parameter(label), |b| {
+            b.iter(|| {
+                let mut sk = sum.sketch();
+                sk.update_iter(std::hint::black_box(&pairs).iter().copied());
+                std::hint::black_box(sk.finalize())
+            })
+        });
+    }
 
     let xor = XorChecker::new(XorCheckConfig::new(4, 16, HasherKind::Tab64), 1);
     group.bench_function(BenchmarkId::from_parameter("xor 4x16 Tab64"), |b| {
@@ -51,14 +63,23 @@ fn bench_sketch_update(c: &mut Criterion) {
         })
     });
 
-    let perm = PermChecker::new(PermCheckConfig::hash_sum(HasherKind::Tab64, 32), 1);
-    group.bench_function(BenchmarkId::from_parameter("perm hash-sum Tab32bit"), |b| {
-        b.iter(|| {
-            let mut sk = perm.sketch();
-            sk.update_iter(std::hint::black_box(&ints).iter().copied());
-            std::hint::black_box(sk.finalize())
-        })
-    });
+    // One 32-bit hash-sum iteration, then the service's four: two
+    // iterations per Tab64 word.
+    for (label, iterations) in [
+        ("perm hash-sum Tab32bit", 1),
+        ("perm hash-sum Tab64 4-iter", 4),
+    ] {
+        let mut cfg = PermCheckConfig::hash_sum(HasherKind::Tab64, 32);
+        cfg.iterations = iterations;
+        let perm = PermChecker::new(cfg, 1);
+        group.bench_function(BenchmarkId::from_parameter(label), |b| {
+            b.iter(|| {
+                let mut sk = perm.sketch();
+                sk.update_iter(std::hint::black_box(&ints).iter().copied());
+                std::hint::black_box(sk.finalize())
+            })
+        });
+    }
 
     let zip = ZipChecker::new(ZipCheckConfig::default(), 1);
     group.bench_function(BenchmarkId::from_parameter("zip 2-iter Tab64"), |b| {

@@ -67,9 +67,12 @@ pub fn check_average(
     let ok_sums = sum_checker.check_distributed(comm, input, &reconstructed);
 
     // Count check: every element counts once vs the certificate.
-    let ones: Vec<(u64, u64)> = input.iter().map(|&(k, _)| (k, 1)).collect();
     let count_checker = SumChecker::new(cfg, seed ^ 0x434E);
-    let ok_counts = count_checker.check_distributed(comm, &ones, counts_certificate);
+    let ok_counts = count_checker.check_distributed_stream(
+        comm,
+        input.iter().map(|&(k, _)| (k, 1)),
+        counts_certificate.iter().copied(),
+    );
 
     ok_sums && ok_counts
 }

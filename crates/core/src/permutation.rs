@@ -19,10 +19,20 @@
 //! every instance accepts and the global lengths are equal (a degenerate
 //! mismatch no fingerprint is guaranteed to catch). The distributed
 //! verdict costs one allreduce whatever `iterations` is.
+//!
+//! Hash-sum iterations are `log_h`-bit slices of shared hash words, as
+//! §7.1 does for the sum checker: one word of a `W`-bit hasher serves
+//! `⌊W / log_h⌋` iterations ([`ccheck_hashing::PartitionedHash`]), so
+//! Tab64 at `log_h = 32` hashes each element once per *two* iterations.
+//! Word `w` is seeded as iteration `w` was when every iteration had a
+//! hasher of its own, so wherever a word serves one iteration — 32-bit
+//! hashers at `log_h = 32`, and every single-iteration check — the
+//! fingerprints are unchanged. The block fold hashes a block once per
+//! word and sums each iteration's slot of it.
 
 use ccheck_hashing::field::Mersenne61;
 use ccheck_hashing::gf64::gf_mul;
-use ccheck_hashing::{Hasher, HasherKind, Mt19937_64};
+use ccheck_hashing::{HasherKind, Mt19937_64, PartitionedHash};
 use ccheck_net::wire::Run;
 use ccheck_net::{Comm, Wire};
 
@@ -77,19 +87,29 @@ impl PermCheckConfig {
         }
     }
 
-    /// Overall failure bound after all iterations.
+    /// Overall failure bound after all iterations: the product of the
+    /// per-instance bounds. For hash sums it assumes independent
+    /// iterations, which bit-slices of one tabulation word are (the slice
+    /// lemma in [`ccheck_hashing::partition`]); CRC-32C carries no such
+    /// guarantee, sliced or not.
     pub fn failure_bound(&self, n: u64) -> f64 {
         self.single_instance_failure_bound(n)
             .powi(self.iterations as i32)
     }
 }
 
-/// A seeded permutation checker. Owns the prepared instance (seeded
-/// hasher or evaluation point) of every iteration; sketches borrow them.
+/// A seeded permutation checker. Owns the prepared fingerprint of every
+/// iteration (the partitioned hash of the hash sums, or the evaluation
+/// points of the polynomial methods); sketches borrow it.
+///
+/// Hash-sum iterations are bit-slices of shared hash words; with
+/// tabulation hashing they are independent (the slice lemma in
+/// [`ccheck_hashing::partition`]), so Lemma 4 holds per iteration and
+/// [`PermCheckConfig::failure_bound`] over all of them.
 #[derive(Debug, Clone)]
 pub struct PermChecker {
     cfg: PermCheckConfig,
-    instances: Vec<PermInstance>,
+    fingerprint: Fingerprint,
 }
 
 impl PermChecker {
@@ -97,32 +117,30 @@ impl PermChecker {
     /// `(config, seed)`.
     pub fn new(cfg: PermCheckConfig, seed: u64) -> Self {
         assert!(cfg.iterations >= 1);
-        let instances = (0..cfg.iterations)
-            .map(|iter| {
-                let instance_seed =
-                    seed ^ (iter as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x7065_726D;
-                // The random evaluation point `z` of the polynomial
-                // methods (identical on every PE: it derives from the
-                // shared seed).
-                let eval_point = || Mt19937_64::new(instance_seed).next();
-                match cfg.method {
-                    PermMethod::HashSum { hasher, log_h } => {
-                        assert!((1..=32).contains(&log_h), "log_h must be in 1..=32");
-                        PermInstance::HashSum {
-                            h: Hasher::new(hasher, instance_seed),
-                            mask: (1u64 << log_h) - 1,
-                        }
-                    }
-                    PermMethod::PolyField => PermInstance::PolyField {
-                        z: Mersenne61::from_u64(eval_point()),
-                    },
-                    PermMethod::PolyGf64 => PermInstance::PolyGf64 {
-                        z: eval_point() | 1, // nonzero
-                    },
-                }
-            })
-            .collect();
-        Self { cfg, instances }
+        // The seed of instance `k`: iteration `k`'s evaluation point, or
+        // hash word `k` (identical on every PE: it derives from the
+        // shared seed).
+        let instance_seed =
+            |k: usize| seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x7065_726D;
+        let eval_points =
+            || (0..cfg.iterations).map(|iter| Mt19937_64::new(instance_seed(iter)).next());
+        let fingerprint = match cfg.method {
+            PermMethod::HashSum { hasher, log_h } => {
+                assert!((1..=32).contains(&log_h), "log_h must be in 1..=32");
+                Fingerprint::HashSum(PartitionedHash::with_word_seeds(
+                    hasher,
+                    cfg.iterations,
+                    log_h,
+                    instance_seed,
+                ))
+            }
+            PermMethod::PolyField => {
+                Fingerprint::PolyField(eval_points().map(Mersenne61::from_u64).collect())
+            }
+            // Nonzero points.
+            PermMethod::PolyGf64 => Fingerprint::PolyGf64(eval_points().map(|z| z | 1).collect()),
+        };
+        Self { cfg, fingerprint }
     }
 
     /// The configuration.
@@ -136,7 +154,7 @@ impl PermChecker {
     pub fn sketch(&self) -> PermSketch<'_> {
         PermSketch {
             checker: self,
-            accs: self.instances.iter().map(PermInstance::identity).collect(),
+            accs: vec![self.fingerprint.identity(); self.cfg.iterations],
             count: 0,
         }
     }
@@ -207,16 +225,15 @@ impl PermChecker {
         }
     }
 
-    /// Local fingerprint of one instance over `data` (the per-PE work of
-    /// the distributed protocol; exposed for the §7.2 overhead
+    /// Local fingerprint of iteration `iter` over `data` (the per-PE work
+    /// of the distributed protocol; exposed for the §7.2 overhead
     /// benchmarks). Additive methods return the exact sum; polynomial
-    /// methods the zero-extended product.
+    /// methods the zero-extended product. Folds every iteration, since
+    /// hash-sum iterations share their hash words.
     pub fn local_fingerprint(&self, iter: usize, data: &[u64]) -> u128 {
-        let inst = &self.instances[iter];
-        let mut scratch = [0; BLOCK];
-        data.chunks(BLOCK).fold(inst.identity(), |acc, block| {
-            inst.fold_block(acc, block, &mut scratch)
-        })
+        let mut sketch = self.sketch();
+        sketch.update_iter(data.iter().copied());
+        sketch.accs[iter]
     }
 
     /// Purely local check (p = 1 semantics) for tests and benchmarks.
@@ -268,58 +285,72 @@ fn lanes_agree<T: Wire + Clone + PartialEq>(
     n_in == n_out && lanes.chunks_exact(2).all(|pair| pair[0] == pair[1])
 }
 
-/// One prepared fingerprint instance: the seeded hash function or the
-/// fixed evaluation point of the polynomial methods.
+/// The prepared fingerprints of all iterations: the partitioned hash of
+/// the hash sums, or one fixed evaluation point per iteration for the
+/// polynomial methods.
 #[derive(Debug, Clone)]
-enum PermInstance {
-    /// Additive Wegman–Carter fingerprint (Lemma 4).
-    HashSum { h: Hasher, mask: u64 },
+enum Fingerprint {
+    /// Additive Wegman–Carter fingerprints (Lemma 4): iteration `i` sums
+    /// instance `i` of the partitioned hash, a `log_h`-bit slice.
+    HashSum(PartitionedHash),
     /// `Π (z − eᵢ)` in 𝔽_{2⁶¹−1} (Lemma 5). Elements are canonicalized
     /// into the field; the documented aliasing caveat for values
     /// ≥ 2⁶¹ − 1 applies.
-    PolyField { z: u64 },
+    PolyField(Vec<u64>),
     /// `Π (z ⊕ eᵢ)` in GF(2⁶⁴) with carry-less multiplication.
-    PolyGf64 { z: u64 },
+    PolyGf64(Vec<u64>),
 }
 
-impl PermInstance {
+impl Fingerprint {
     /// The fold's neutral element (0 for sums, 1 for products).
     fn identity(&self) -> u128 {
         match self {
-            PermInstance::HashSum { .. } => 0,
-            PermInstance::PolyField { .. } | PermInstance::PolyGf64 { .. } => 1,
+            Fingerprint::HashSum(_) => 0,
+            Fingerprint::PolyField(_) | Fingerprint::PolyGf64(_) => 1,
         }
     }
 
-    /// Fold one element into an accumulator. Hash sums accumulate
-    /// exactly in 128 bits (no intermediate modulus — the multiset fix);
-    /// products stay in the low 64 bits.
-    #[inline]
-    fn fold(&self, acc: u128, x: u64) -> u128 {
-        match *self {
-            PermInstance::HashSum { ref h, mask } => acc + u128::from(h.hash(x) & mask),
-            PermInstance::PolyField { z } => u128::from(Mersenne61::mul(
-                acc as u64,
-                Mersenne61::sub(z, Mersenne61::from_u64(x)),
-            )),
-            PermInstance::PolyGf64 { z } => u128::from(gf_mul(acc as u64, z ^ x)),
-        }
-    }
-
-    /// Fold one block (at most [`BLOCK`] elements) into an accumulator.
-    /// Hash sums hash the whole block in one batch and add it up in a
-    /// register (`BLOCK` masked hashes of ≤ 32 bits cannot overflow a
-    /// u64); the polynomial methods are a chain of dependent multiplies
-    /// and fold element by element.
-    fn fold_block(&self, acc: u128, block: &[u64], scratch: &mut [u64; BLOCK]) -> u128 {
-        match *self {
-            PermInstance::HashSum { ref h, mask } => {
-                let hashes = &mut scratch[..block.len()];
-                h.hash_batch(block, hashes);
-                acc + u128::from(hashes.iter().map(|hash| hash & mask).sum::<u64>())
+    /// Fold one element into every iteration's accumulator — the
+    /// definition of the digest. Hash sums accumulate exactly in 128 bits
+    /// (no intermediate modulus — the multiset fix); products stay in the
+    /// low 64 bits.
+    fn fold(&self, accs: &mut [u128], x: u64) {
+        match self {
+            Fingerprint::HashSum(hash) => {
+                for (i, acc) in accs.iter_mut().enumerate() {
+                    *acc += u128::from(hash.hash(i, x));
+                }
             }
-            PermInstance::PolyField { .. } | PermInstance::PolyGf64 { .. } => {
-                block.iter().fold(acc, |acc, &x| self.fold(acc, x))
+            Fingerprint::PolyField(points) => {
+                for (acc, &z) in accs.iter_mut().zip(points) {
+                    let factor = Mersenne61::sub(z, Mersenne61::from_u64(x));
+                    *acc = u128::from(Mersenne61::mul(*acc as u64, factor));
+                }
+            }
+            Fingerprint::PolyGf64(points) => {
+                for (acc, &z) in accs.iter_mut().zip(points) {
+                    *acc = u128::from(gf_mul(*acc as u64, z ^ x));
+                }
+            }
+        }
+    }
+
+    /// Fold one block (at most [`BLOCK`] elements). Hash sums hash the
+    /// block once per hash word ([`PartitionedHash::hash_block`]) and add
+    /// each iteration's slots up in a register (`BLOCK` values of ≤ 32
+    /// bits cannot overflow a u64); the polynomial methods are chains of
+    /// dependent multiplies and fold element by element.
+    fn fold_block(&self, accs: &mut [u128], block: &[u64], words: &mut [u64; BLOCK]) {
+        match self {
+            Fingerprint::HashSum(hash) => hash.hash_block(block, words, |instances, words| {
+                for (k, acc) in accs[instances].iter_mut().enumerate() {
+                    *acc += u128::from(words.iter().map(|&w| hash.slot(w, k)).sum::<u64>());
+                }
+            }),
+            Fingerprint::PolyField(_) | Fingerprint::PolyGf64(_) => {
+                for &x in block {
+                    self.fold(accs, x);
+                }
             }
         }
     }
@@ -328,9 +359,9 @@ impl PermInstance {
     #[inline]
     fn combine(&self, a: u128, b: u128) -> u128 {
         match self {
-            PermInstance::HashSum { .. } => a.wrapping_add(b),
-            PermInstance::PolyField { .. } => u128::from(Mersenne61::mul(a as u64, b as u64)),
-            PermInstance::PolyGf64 { .. } => u128::from(gf_mul(a as u64, b as u64)),
+            Fingerprint::HashSum(_) => a.wrapping_add(b),
+            Fingerprint::PolyField(_) => u128::from(Mersenne61::mul(a as u64, b as u64)),
+            Fingerprint::PolyGf64(_) => u128::from(gf_mul(a as u64, b as u64)),
         }
     }
 }
@@ -357,20 +388,18 @@ impl Sketch for PermSketch<'_> {
     type Digest = (u64, Vec<u128>);
 
     fn update(&mut self, item: u64) {
-        for (acc, inst) in self.accs.iter_mut().zip(&self.checker.instances) {
-            *acc = inst.fold(*acc, item);
-        }
+        self.checker.fingerprint.fold(&mut self.accs, item);
         self.count += 1;
     }
 
-    /// Block fold, iteration-major: each instance runs over the whole
+    /// Block fold, iteration-major: each hash word runs over the whole
     /// block before the next one's tables are touched.
     fn update_iter<I: IntoIterator<Item = u64>>(&mut self, items: I) {
-        let mut scratch = [0; BLOCK];
+        let mut words = [0; BLOCK];
         for_each_block(items, |block| {
-            for (acc, inst) in self.accs.iter_mut().zip(&self.checker.instances) {
-                *acc = inst.fold_block(*acc, block, &mut scratch);
-            }
+            self.checker
+                .fingerprint
+                .fold_block(&mut self.accs, block, &mut words);
             self.count += block.len() as u64;
         });
     }
@@ -380,9 +409,9 @@ impl Sketch for PermSketch<'_> {
             std::ptr::eq(self.checker, other.checker),
             "cannot merge sketches of different checker instances"
         );
-        let instances = &self.checker.instances;
-        for ((acc, &badd), inst) in self.accs.iter_mut().zip(&other.accs).zip(instances) {
-            *acc = inst.combine(*acc, badd);
+        let fingerprint = &self.checker.fingerprint;
+        for (acc, &badd) in self.accs.iter_mut().zip(&other.accs) {
+            *acc = fingerprint.combine(*acc, badd);
         }
         self.count += other.count;
     }
@@ -599,12 +628,10 @@ mod tests {
             poly(PermMethod::PolyGf64),
         ] {
             let checker = PermChecker::new(cfg, 3);
-            let invisible = match checker.instances[0] {
-                PermInstance::HashSum { ref h, mask } => {
-                    (0..).find(|&x| h.hash(x) & mask == 0).unwrap()
-                }
-                PermInstance::PolyField { z } => Mersenne61::sub(z, 1),
-                PermInstance::PolyGf64 { z } => z ^ 1,
+            let invisible = match &checker.fingerprint {
+                Fingerprint::HashSum(h) => (0..).find(|&x| h.hash(0, x) == 0).unwrap(),
+                Fingerprint::PolyField(points) => Mersenne61::sub(points[0], 1),
+                Fingerprint::PolyGf64(points) => points[0] ^ 1,
             };
             let verdicts = run(2, |comm| {
                 let input: Vec<u64> = (0..50).map(|i| 1000 * comm.rank() as u64 + i).collect();

@@ -33,17 +33,26 @@
 //! iteration's hash tables (16 KiB each for Tab64) through the cache and
 //! pays one dispatch and one modular reduction per hash. The digest,
 //! however, is a property of the multiset (or, for zip, of the indexed
-//! sequence), not of the order in which the fold touches memory. So the
-//! permutation and zip sketches override [`Sketch::update_iter`] with a
-//! **block fold**: buffer up to 256 items on the stack, then go
-//! *iteration-major* over the block — one hasher's tables stay in L1
-//! while it hashes the whole block
-//! ([`ccheck_hashing::Hasher::hash_batch`]; consecutive zip positions
-//! via [`ccheck_hashing::Hasher::hash_run`], one table lookup per key),
-//! sums accumulate unreduced, and each iteration's accumulator is
-//! touched once per block. Addition in ℤ and in 𝔽_{2⁶¹−1} is associative
-//! and commutative, so the result is the same canonical value
-//! bit for bit; `tests/golden_digests.rs` pins that against digests
+//! sequence), not of the order in which the fold touches memory. So
+//! every sketch overrides [`Sketch::update_iter`] with a **block fold**:
+//! buffer up to 256 items on the stack, then go *iteration-major* over
+//! the block — one hasher's tables stay in L1 while it hashes the whole
+//! block ([`ccheck_hashing::Hasher::hash_batch`]; consecutive zip
+//! positions via [`ccheck_hashing::Hasher::hash_run`], one table lookup
+//! per key), sums accumulate unreduced, and each iteration's accumulator
+//! is touched once per block.
+//!
+//! The sum, xor and hash-sum permutation sketches draw every iteration
+//! from one [`ccheck_hashing::PartitionedHash`] (§7.1: one hash word,
+//! sliced into many iterations' values), so their block folds go through
+//! [`PartitionedHash::hash_block`]: each key is hashed once per *word*,
+//! and the iterations a word serves read their slots from the same
+//! batch. The sum and xor sketches then scatter each iteration's block
+//! into its buckets; their `update` is that fold over a one-item block.
+//!
+//! Addition in ℤ, in ℤ/rℤ and in 𝔽_{2⁶¹−1} is associative and
+//! commutative, and xor is too, so the result is the same canonical
+//! value bit for bit; `tests/golden_digests.rs` pins that against digests
 //! recorded from the element-wise kernels, and property tests compare
 //! the two paths on arbitrary inputs. The hash instances themselves are
 //! built once, in the checker's constructor; sketches only borrow them.
@@ -68,6 +77,8 @@
 //! first.merge(second);
 //! assert_eq!(first.finalize(), one_shot.finalize());
 //! ```
+
+use ccheck_hashing::{BucketMap, PartitionedHash};
 
 /// A mergeable one-pass summary of a stream of items.
 ///
@@ -120,6 +131,63 @@ pub trait Sketch: Sized {
 /// Items per block of a block fold (see the module docs): 2 KiB of
 /// `u64` per scratch array, small next to one hasher's 16 KiB of tables.
 pub(crate) const BLOCK: usize = 256;
+
+/// Scratch of one bucketed block fold of up to `N` pairs: the keys, and
+/// one hash word per key. A stack array sized to the block: `N = 1` for a
+/// single `update`, [`BLOCK`] for a stream.
+pub(crate) type BlockScratch<const N: usize> = [[u64; N]; 2];
+
+/// The block fold of the bucketed sketches (sum and xor): fold `block`
+/// (at most `N` pairs) into the `instances × d` `table` of `hash`,
+/// iteration-major. The keys are hashed once per hash word
+/// ([`PartitionedHash::hash_block`]); then each iteration `i` runs one
+/// scatter loop, with `map`'s variant resolved outside it, applying
+/// `lane(i)` to every `(bucket, value)` in block order. Each bucket sees
+/// its additions in the order element-wise folding makes them.
+pub(crate) fn scatter_block<V: Copy, L: Fn(&mut u64, V), const N: usize>(
+    hash: &PartitionedHash,
+    map: BucketMap,
+    table: &mut [u64],
+    block: &[(u64, V)],
+    [keys, words]: &mut BlockScratch<N>,
+    lane: impl Fn(usize) -> L,
+) {
+    let keys = &mut keys[..block.len()];
+    for (key, &(k, _)) in keys.iter_mut().zip(block) {
+        *key = k;
+    }
+    let d = table.len() / hash.instances();
+    hash.hash_block(keys, words, |instances, words| {
+        for (k, i) in instances.enumerate() {
+            let segment = &mut table[i * d..(i + 1) * d];
+            let add = lane(i);
+            match map {
+                BucketMap::Pow2 { mask } => scatter(segment, words, block, &add, |w| {
+                    (hash.slot(w, k) & mask) as usize
+                }),
+                BucketMap::FastRange { d: buckets, bits } => {
+                    scatter(segment, words, block, &add, |w| {
+                        ((hash.slot(w, k) * buckets) >> bits) as usize
+                    })
+                }
+            }
+        }
+    });
+}
+
+/// One iteration's scatter loop of [`scatter_block`].
+#[inline(always)]
+fn scatter<V: Copy>(
+    segment: &mut [u64],
+    words: &[u64],
+    block: &[(u64, V)],
+    add: impl Fn(&mut u64, V),
+    bucket: impl Fn(u64) -> usize,
+) {
+    for (&word, &(_, value)) in words.iter().zip(block) {
+        add(&mut segment[bucket(word)], value);
+    }
+}
 
 /// The buffering loop of every block fold: collect up to [`BLOCK`] items
 /// on the stack and hand each full block, then the final partial one, to

@@ -21,33 +21,19 @@
 //! * the input-side and output-side tables of all iterations travel in a
 //!   **single** reduction message, so the whole check costs one tree
 //!   reduction plus one broadcast: `O((n/p + β·d·w·its) + α·log p)`.
+//!
+//! Every fold — [`Sketch::update_iter`], [`Sketch::update`], `condense`
+//! and their signed forms — is one block fold (see [`crate::sketch`]):
+//! hash a block of keys once per hash word, then scatter it into each
+//! iteration's buckets. Unsigned and signed values differ only in the
+//! value lane: the residue each value adds in iteration `i`'s ℤ/rᵢℤ.
 
 use ccheck_hashing::field::addmod;
-use ccheck_hashing::{Mt19937_64, PartitionedHash};
+use ccheck_hashing::{BucketMap, Mt19937_64, PartitionedHash};
 use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
-use crate::sketch::Sketch;
-
-/// How bucket indices are derived from the partitioned hash value.
-#[derive(Debug, Clone, Copy)]
-enum BucketMap {
-    /// `d` is a power of two: mask the low bits — zero bias.
-    Pow2 { mask: u64 },
-    /// General `d`: fast-range map `(v · d) >> bits` over a wider group;
-    /// bias ≤ d/2^bits (kept ≤ 2^−12 by construction).
-    FastRange { d: u64, bits: u32 },
-}
-
-impl BucketMap {
-    #[inline]
-    fn map(&self, v: u64) -> usize {
-        match *self {
-            BucketMap::Pow2 { mask } => (v & mask) as usize,
-            BucketMap::FastRange { d, bits } => ((v * d) >> bits) as usize,
-        }
-    }
-}
+use crate::sketch::{for_each_block, scatter_block, BlockScratch, Sketch, BLOCK};
 
 /// A configured instance of the sum-aggregation checker.
 ///
@@ -55,6 +41,12 @@ impl BucketMap {
 /// moduli from `seed`; in an SPMD run every PE must construct the checker
 /// with the same `(config, seed)` so their condensed tables are
 /// compatible.
+///
+/// Iterations are bit-slices of shared hash words. With tabulation
+/// hashing the slices are independent hash functions (the slice lemma in
+/// [`ccheck_hashing::partition`]), so Lemma 2's per-iteration bound and
+/// the product [`SumCheckConfig::failure_bound`] hold as for separately
+/// seeded functions.
 #[derive(Debug, Clone)]
 pub struct SumChecker {
     cfg: SumCheckConfig,
@@ -67,17 +59,8 @@ pub struct SumChecker {
 impl SumChecker {
     /// Instantiate from a configuration and a shared seed.
     pub fn new(cfg: SumCheckConfig, seed: u64) -> Self {
-        let d = cfg.buckets as u64;
-        let needed_bits = 64 - (d - 1).leading_zeros(); // ⌈log₂ d⌉
-        let width = cfg.hasher.output_bits();
-        let (bits, bucket_map) = if d.is_power_of_two() {
-            (needed_bits.max(1), BucketMap::Pow2 { mask: d - 1 })
-        } else {
-            // Widen the group so the fast-range bias stays ≤ 2^−12.
-            let bits = (needed_bits + 12).min(width);
-            (bits, BucketMap::FastRange { d, bits })
-        };
-        let hash = PartitionedHash::new(cfg.hasher, seed, cfg.iterations, bits);
+        let bucket_map = BucketMap::new(cfg.buckets, cfg.hasher.output_bits());
+        let hash = PartitionedHash::new(cfg.hasher, seed, cfg.iterations, bucket_map.bits());
         // Moduli from an MT19937-64 stream over the same seed (domain-
         // separated) — identical on every PE.
         let mut rng = Mt19937_64::new(seed ^ 0x6D6F_6475_6C75_7321);
@@ -126,29 +109,36 @@ impl SumChecker {
         };
     }
 
-    /// The shared bucket loop of every condense variant (the one place
-    /// the `cRed` inner loop lives): hash `key` once, then add a
-    /// per-iteration residue into each iteration's bucket. `residue_for`
-    /// maps the iteration's modulus to the value to add — the identity
-    /// for unsigned values, the positive-residue embedding for signed
-    /// ones.
-    #[inline]
-    fn fold_into(
+    /// The one fold of every sum path (the `cRed` inner loop): one block
+    /// of at most `N` `(key, value)` pairs into `table`, all iterations.
+    /// `residue(value, rᵢ)` is the value lane: what `value` adds in
+    /// iteration `i`'s ℤ/rᵢℤ — itself for unsigned values,
+    /// [`SumChecker::signed_residue`] for signed ones.
+    fn fold_block<V: Copy, const N: usize>(
         &self,
         table: &mut [u64],
-        idx_scratch: &mut [u64],
-        key: u64,
-        residue_for: impl Fn(u64) -> u64,
+        block: &[(u64, V)],
+        scratch: &mut BlockScratch<N>,
+        residue: impl Fn(V, u64) -> u64,
     ) {
-        self.hash.hash_all(key, idx_scratch);
-        // Iterate per-iteration table segments in lockstep with the
-        // hash groups and moduli: one bounds check per segment.
-        for ((segment, &hv), &r) in table
-            .chunks_exact_mut(self.cfg.buckets)
-            .zip(idx_scratch.iter())
-            .zip(&self.moduli)
-        {
-            Self::bucket_add(&mut segment[self.bucket_map.map(hv)], residue_for(r), r);
+        let residue = &residue;
+        scatter_block(&self.hash, self.bucket_map, table, block, scratch, |i| {
+            let r = self.moduli[i];
+            move |bucket: &mut u64, value| Self::bucket_add(bucket, residue(value, r), r)
+        });
+    }
+
+    /// [`SumChecker::fold_block`] over a whole slice.
+    fn fold_slice<V: Copy>(
+        &self,
+        table: &mut [u64],
+        pairs: &[(u64, V)],
+        residue: impl Fn(V, u64) -> u64,
+    ) {
+        assert_eq!(table.len(), self.table_len());
+        let mut scratch = [[0; BLOCK]; 2];
+        for block in pairs.chunks(BLOCK) {
+            self.fold_block(table, block, &mut scratch, &residue);
         }
     }
 
@@ -175,7 +165,6 @@ impl SumChecker {
         SumSketch {
             checker: self,
             table: self.new_table(),
-            idx_scratch: vec![0u64; self.cfg.iterations],
         }
     }
 
@@ -184,24 +173,14 @@ impl SumChecker {
     /// [`SumChecker::new_table`] or a previous `condense` call; values
     /// accumulate.
     pub fn condense(&self, pairs: &[(u64, u64)], table: &mut [u64]) {
-        assert_eq!(table.len(), self.table_len());
-        let mut idx_scratch = vec![0u64; self.cfg.iterations];
-        for &(key, value) in pairs {
-            self.fold_into(table, &mut idx_scratch, key, |_| value);
-        }
+        self.fold_slice(table, pairs, |value, _| value);
     }
 
     /// Condense signed (key, value) pairs — used by the median checker,
     /// where elements map to ±1 (§6.3). Negative values enter as their
     /// positive residue `r − (−v mod r)`.
     pub fn condense_signed(&self, pairs: &[(u64, i64)], table: &mut [u64]) {
-        assert_eq!(table.len(), self.table_len());
-        let mut idx_scratch = vec![0u64; self.cfg.iterations];
-        for &(key, value) in pairs {
-            self.fold_into(table, &mut idx_scratch, key, |r| {
-                Self::signed_residue(value, r)
-            });
-        }
+        self.fold_slice(table, pairs, Self::signed_residue);
     }
 
     /// Reduce every bucket to its canonical residue (`< r_i`). Must be
@@ -352,13 +331,9 @@ impl SumChecker {
         asserted: &[(u64, i64)],
     ) -> bool {
         let mut t_in = self.sketch();
+        t_in.update_signed_iter(input.iter().copied());
         let mut t_out = self.sketch();
-        for &pair in input {
-            t_in.update_signed(pair);
-        }
-        for &pair in asserted {
-            t_out.update_signed(pair);
-        }
+        t_out.update_signed_iter(asserted.iter().copied());
         self.check_distributed_sketches(comm, t_in, t_out)
     }
 
@@ -399,17 +374,37 @@ impl SumChecker {
 pub struct SumSketch<'a> {
     checker: &'a SumChecker,
     table: Vec<u64>,
-    idx_scratch: Vec<u64>,
 }
 
 impl SumSketch<'_> {
     /// Fold a signed pair (the median checker's ±1 streams): the value
     /// enters as its positive residue in each iteration's ℤ/rᵢℤ.
-    pub fn update_signed(&mut self, (key, value): (u64, i64)) {
-        self.checker
-            .fold_into(&mut self.table, &mut self.idx_scratch, key, |r| {
-                SumChecker::signed_residue(value, r)
-            });
+    pub fn update_signed(&mut self, pair: (u64, i64)) {
+        self.checker.fold_block(
+            &mut self.table,
+            &[pair],
+            &mut [[0; 1]; 2],
+            SumChecker::signed_residue,
+        );
+    }
+
+    /// Fold a stream of signed pairs: [`SumSketch::update_signed`] per
+    /// pair, computed by the block fold.
+    pub fn update_signed_iter<I: IntoIterator<Item = (u64, i64)>>(&mut self, pairs: I) {
+        self.fold_iter(pairs, SumChecker::signed_residue);
+    }
+
+    /// The buffering loop behind both `update_iter`s.
+    fn fold_iter<V: Copy + Default>(
+        &mut self,
+        pairs: impl IntoIterator<Item = (u64, V)>,
+        residue: impl Fn(V, u64) -> u64,
+    ) {
+        let mut scratch = [[0; BLOCK]; 2];
+        for_each_block(pairs, |block| {
+            self.checker
+                .fold_block(&mut self.table, block, &mut scratch, &residue)
+        });
     }
 
     /// The raw (unfinalized) condensed table — bucket sums with lazy
@@ -425,9 +420,13 @@ impl Sketch for SumSketch<'_> {
     /// The finalized condensed table: canonical residues `< rᵢ`.
     type Digest = Vec<u64>;
 
-    fn update(&mut self, (key, value): (u64, u64)) {
+    fn update(&mut self, pair: (u64, u64)) {
         self.checker
-            .fold_into(&mut self.table, &mut self.idx_scratch, key, |_| value);
+            .fold_block(&mut self.table, &[pair], &mut [[0; 1]; 2], |value, _| value);
+    }
+
+    fn update_iter<I: IntoIterator<Item = (u64, u64)>>(&mut self, pairs: I) {
+        self.fold_iter(pairs, |value, _| value);
     }
 
     fn merge(&mut self, other: Self) {
@@ -571,28 +570,35 @@ mod tests {
 
     #[test]
     fn overflow_lazy_modulo_correct() {
-        // Values near u64::MAX force the overflow path; the result must
-        // equal a naive residue computation.
-        let c = cfg(2, 4, 5);
-        let checker = SumChecker::new(c, 3);
-        let input: Vec<(u64, u64)> = (0..64).map(|i| (i % 4, u64::MAX - i)).collect();
-        let mut table = checker.new_table();
-        checker.condense(&input, &mut table);
-        checker.finalize(&mut table);
-        // Naive recomputation in u128.
-        let mut expected = vec![0u128; checker.table_len()];
-        let mut idx = vec![0u64; 2];
-        for &(k, v) in &input {
-            checker.hash.hash_all(k, &mut idx);
-            for i in 0..2 {
-                let bucket = checker.bucket_map.map(idx[i]);
-                let r = checker.moduli[i] as u128;
-                let slot = &mut expected[i * 4 + bucket];
-                *slot = (*slot + v as u128) % r;
+        // Values near u64::MAX force the overflow path; the block fold
+        // must equal a naive per-key residue computation — with one hash
+        // word, a fast-range map (d = 37), and partitions of three Tab64
+        // and two CRC words.
+        for c in [
+            cfg(2, 4, 5),
+            cfg(3, 37, 8),
+            cfg(16, 1024, 24),
+            SumCheckConfig::new(16, 16, 15, HasherKind::Crc32c),
+        ] {
+            let checker = SumChecker::new(c, 3);
+            let input: Vec<(u64, u64)> = (0..600).map(|i| (i % 41, u64::MAX - i)).collect();
+            let mut table = checker.new_table();
+            checker.condense(&input, &mut table);
+            checker.finalize(&mut table);
+            // Naive recomputation in u128.
+            let (its, d) = (c.iterations, c.buckets);
+            let mut expected = vec![0u128; checker.table_len()];
+            for &(k, v) in &input {
+                for i in 0..its {
+                    let bucket = checker.bucket_map.map(checker.hash.hash(i, k));
+                    let r = checker.moduli[i] as u128;
+                    let slot = &mut expected[i * d + bucket];
+                    *slot = (*slot + v as u128) % r;
+                }
             }
+            let expected: Vec<u64> = expected.into_iter().map(|x| x as u64).collect();
+            assert_eq!(table, expected, "{c}");
         }
-        let expected: Vec<u64> = expected.into_iter().map(|x| x as u64).collect();
-        assert_eq!(table, expected);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! `1/r̂` term — a single iteration fails with probability at most
 //! `1/d` (only the bucket-collision mode of Lemma 2 remains).
 
-use ccheck_hashing::{HasherKind, PartitionedHash};
+use ccheck_hashing::{BucketMap, HasherKind, PartitionedHash};
 use ccheck_net::Comm;
 
-use crate::sketch::Sketch;
+use crate::sketch::{for_each_block, scatter_block, BlockScratch, Sketch, BLOCK};
 
 /// Configuration of the xor-aggregation checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,41 +49,24 @@ impl XorCheckConfig {
 pub struct XorChecker {
     cfg: XorCheckConfig,
     hash: PartitionedHash,
-    mask_pow2: Option<u64>,
-    bits: u32,
+    bucket_map: BucketMap,
 }
 
 impl XorChecker {
     /// Instantiate from a configuration and a shared seed.
     pub fn new(cfg: XorCheckConfig, seed: u64) -> Self {
-        let d = cfg.buckets as u64;
-        let needed_bits = 64 - (d - 1).leading_zeros();
-        let width = cfg.hasher.output_bits();
-        let (bits, mask_pow2) = if d.is_power_of_two() {
-            (needed_bits.max(1), Some(d - 1))
-        } else {
-            ((needed_bits + 12).min(width), None)
-        };
-        let hash = PartitionedHash::new(cfg.hasher, seed, cfg.iterations, bits);
+        let bucket_map = BucketMap::new(cfg.buckets, cfg.hasher.output_bits());
+        let hash = PartitionedHash::new(cfg.hasher, seed, cfg.iterations, bucket_map.bits());
         Self {
             cfg,
             hash,
-            mask_pow2,
-            bits,
+            bucket_map,
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &XorCheckConfig {
         &self.cfg
-    }
-
-    #[inline]
-    fn bucket(&self, hv: u64) -> usize {
-        match self.mask_pow2 {
-            Some(mask) => (hv & mask) as usize,
-            None => ((hv * self.cfg.buckets as u64) >> self.bits) as usize,
-        }
     }
 
     /// A fresh, empty streaming sketch for this checker (see
@@ -94,30 +77,29 @@ impl XorChecker {
         XorSketch {
             checker: self,
             table: vec![0u64; self.cfg.iterations * self.cfg.buckets],
-            idx_scratch: vec![0u64; self.cfg.iterations],
         }
     }
 
     /// Condense pairs into an `iterations × buckets` xor table.
     pub fn condense(&self, pairs: &[(u64, u64)], table: &mut [u64]) {
-        let d = self.cfg.buckets;
-        assert_eq!(table.len(), self.cfg.iterations * d);
-        let mut idx = vec![0u64; self.cfg.iterations];
-        for &(key, value) in pairs {
-            self.fold_into(table, &mut idx, key, value);
+        assert_eq!(table.len(), self.cfg.iterations * self.cfg.buckets);
+        let mut scratch = [[0; BLOCK]; 2];
+        for block in pairs.chunks(BLOCK) {
+            self.fold_block(table, block, &mut scratch);
         }
     }
 
-    /// The per-item bucket loop shared by `condense` and [`XorSketch`].
-    #[inline]
-    fn fold_into(&self, table: &mut [u64], idx_scratch: &mut [u64], key: u64, value: u64) {
-        self.hash.hash_all(key, idx_scratch);
-        for (segment, &hv) in table
-            .chunks_exact_mut(self.cfg.buckets)
-            .zip(idx_scratch.iter())
-        {
-            segment[self.bucket(hv)] ^= value;
-        }
+    /// The one fold of every xor path: one block of at most `N` pairs
+    /// into `table`, all iterations (see [`crate::sketch`]).
+    fn fold_block<const N: usize>(
+        &self,
+        table: &mut [u64],
+        block: &[(u64, u64)],
+        scratch: &mut BlockScratch<N>,
+    ) {
+        scatter_block(&self.hash, self.bucket_map, table, block, scratch, |_| {
+            |bucket: &mut u64, value| *bucket ^= value
+        });
     }
 
     /// Purely local check (p = 1).
@@ -196,7 +178,6 @@ impl XorChecker {
 pub struct XorSketch<'a> {
     checker: &'a XorChecker,
     table: Vec<u64>,
-    idx_scratch: Vec<u64>,
 }
 
 impl Sketch for XorSketch<'_> {
@@ -204,9 +185,17 @@ impl Sketch for XorSketch<'_> {
     /// The xor table itself — xor needs no canonicalization.
     type Digest = Vec<u64>;
 
-    fn update(&mut self, (key, value): (u64, u64)) {
+    fn update(&mut self, pair: (u64, u64)) {
         self.checker
-            .fold_into(&mut self.table, &mut self.idx_scratch, key, value);
+            .fold_block(&mut self.table, &[pair], &mut [[0; 1]; 2]);
+    }
+
+    fn update_iter<I: IntoIterator<Item = (u64, u64)>>(&mut self, pairs: I) {
+        let mut scratch = [[0; BLOCK]; 2];
+        for_each_block(pairs, |block| {
+            self.checker
+                .fold_block(&mut self.table, block, &mut scratch)
+        });
     }
 
     fn merge(&mut self, other: Self) {

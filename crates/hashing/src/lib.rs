@@ -34,7 +34,7 @@ pub mod traits;
 
 pub use crc32c::{crc32c, Crc32cHash};
 pub use mt19937::{Mt19937, Mt19937_64};
-pub use partition::PartitionedHash;
+pub use partition::{BucketMap, PartitionedHash};
 pub use sha256::{sha256_hex, Sha256};
 pub use tabulation::{Tab32, Tab64};
 pub use traits::{Hasher, HasherKind};

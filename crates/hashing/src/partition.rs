@@ -12,8 +12,88 @@
 //! 64 hash bits and 4-bit groups one evaluation serves 16 instances, which
 //! is why "evaluating a single hash function suffices in all practically
 //! relevant configurations".
+//!
+//! # The slice lemma
+//!
+//! *Disjoint bit-slices of one simple-tabulation word are independent
+//! simple-tabulation functions.* A tabulation hash is the XOR of one
+//! table entry per key byte, and every entry is an independent uniform
+//! word (Pătraşcu & Thorup). Bits `[a, b)` of the hash are therefore the
+//! XOR of bits `[a, b)` of the entries: a simple-tabulation function
+//! whose tables are those bits alone, and slices over disjoint bit ranges
+//! read disjoint, independent table bits. So every per-instance bound a
+//! checker proves for one fully random-table hash function (bucket
+//! collisions of the sum checker, Lemma 4's `1/H` for hash sums) holds for
+//! each slice, and the product over instances holds across the slices of
+//! one word exactly as across separately seeded words. CRC-32C is linear,
+//! not table-random: it carries no such guarantee, sliced or not.
+//!
+//! # Block entry point
+//!
+//! [`PartitionedHash::hash_block`] hashes a block of keys word by word
+//! with [`Hasher::hash_batch`] and hands each word's hashes to the
+//! caller together with the instances the word serves; the caller reads
+//! instance `first + k` as [`PartitionedHash::slot`]` (word, k)`. The
+//! checkers' block folds consume it iteration-major, and [`BucketMap`]
+//! turns a slot into a bucket index.
 
-use crate::traits::Hasher;
+use std::ops::Range;
+
+use crate::traits::{Hasher, HasherKind};
+
+/// How a `bits`-wide slot value becomes one of `d` bucket indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BucketMap {
+    /// `d` is a power of two: mask the low bits — zero bias.
+    Pow2 {
+        /// `d − 1`.
+        mask: u64,
+    },
+    /// General `d`: fast-range map `(v · d) >> bits` over a wider group;
+    /// bias ≤ d/2^bits (kept ≤ 2^−12 where the hash is wide enough).
+    FastRange {
+        /// Bucket count.
+        d: u64,
+        /// Slot width the map expects.
+        bits: u32,
+    },
+}
+
+impl BucketMap {
+    /// The map onto `buckets` buckets for slots of a `width`-bit hash.
+    ///
+    /// # Panics
+    /// Panics if `buckets` is 0.
+    pub fn new(buckets: usize, width: u32) -> Self {
+        assert!(buckets > 0, "need at least one bucket");
+        let d = buckets as u64;
+        if d.is_power_of_two() {
+            BucketMap::Pow2 { mask: d - 1 }
+        } else {
+            // ⌈log₂ d⌉, widened so the fast-range bias stays ≤ 2^−12.
+            let needed_bits = 64 - (d - 1).leading_zeros();
+            let bits = (needed_bits + 12).min(width);
+            BucketMap::FastRange { d, bits }
+        }
+    }
+
+    /// The slot width ([`PartitionedHash`] group bits) this map reads.
+    pub fn bits(&self) -> u32 {
+        match *self {
+            BucketMap::Pow2 { mask } => (64 - mask.leading_zeros()).max(1),
+            BucketMap::FastRange { bits, .. } => bits,
+        }
+    }
+
+    /// The bucket of slot value `v` (`v < 2^bits`).
+    #[inline]
+    pub fn map(&self, v: u64) -> usize {
+        match *self {
+            BucketMap::Pow2 { mask } => (v & mask) as usize,
+            BucketMap::FastRange { d, bits } => ((v * d) >> bits) as usize,
+        }
+    }
+}
 
 /// One hash evaluation feeding `instances` independent `bits`-wide values.
 #[derive(Clone)]
@@ -37,7 +117,23 @@ impl PartitionedHash {
     /// # Panics
     /// Panics if `bits` is 0 or exceeds the hasher's output width, or if
     /// `instances` is 0.
-    pub fn new(kind: crate::traits::HasherKind, seed: u64, instances: usize, bits: u32) -> Self {
+    pub fn new(kind: HasherKind, seed: u64, instances: usize, bits: u32) -> Self {
+        Self::with_word_seeds(kind, instances, bits, |w| {
+            seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1))
+        })
+    }
+
+    /// [`PartitionedHash::new`] with word `w` seeded `word_seed(w)`, for
+    /// callers whose seeding scheme predates the partition.
+    ///
+    /// # Panics
+    /// As [`PartitionedHash::new`].
+    pub fn with_word_seeds(
+        kind: HasherKind,
+        instances: usize,
+        bits: u32,
+        word_seed: impl Fn(usize) -> u64,
+    ) -> Self {
         assert!(instances > 0, "need at least one instance");
         let width = kind.output_bits();
         assert!(
@@ -47,12 +143,7 @@ impl PartitionedHash {
         let per_word = (width / bits) as usize;
         let num_words = instances.div_ceil(per_word);
         let words = (0..num_words)
-            .map(|w| {
-                Hasher::new(
-                    kind,
-                    seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1)),
-                )
-            })
+            .map(|w| Hasher::new(kind, word_seed(w)))
             .collect();
         Self {
             words,
@@ -86,36 +177,51 @@ impl PartitionedHash {
     #[inline]
     pub fn hash(&self, i: usize, x: u64) -> u64 {
         debug_assert!(i < self.instances);
-        let word = self.words[i / self.per_word].hash(x);
-        let slot = (i % self.per_word) as u32;
-        (word >> (slot * self.bits)) & self.mask
+        self.slot(self.words[i / self.per_word].hash(x), i % self.per_word)
+    }
+
+    /// Slot `k` of a hash word: the value of the word's `k`-th instance,
+    /// in `0 .. 2^bits`.
+    #[inline(always)]
+    pub fn slot(&self, word: u64, k: usize) -> u64 {
+        debug_assert!(k < self.per_word);
+        (word >> (k as u32 * self.bits)) & self.mask
+    }
+
+    /// The block entry point: for each underlying hash word in turn,
+    /// hash every key of `keys` into `words[..keys.len()]` with
+    /// [`Hasher::hash_batch`] and call `consume(instances, words)`, where
+    /// `instances` is the range of instances that word serves (instance
+    /// `instances.start + k` is [`PartitionedHash::slot`]` (word, k)`).
+    /// Each hasher's tables stay hot for the whole block, and each key is
+    /// hashed once per word, not once per instance.
+    ///
+    /// # Panics
+    /// Panics if `words` is shorter than `keys`.
+    pub fn hash_block(
+        &self,
+        keys: &[u64],
+        words: &mut [u64],
+        mut consume: impl FnMut(Range<usize>, &[u64]),
+    ) {
+        let words = &mut words[..keys.len()];
+        for (w, hasher) in self.words.iter().enumerate() {
+            hasher.hash_batch(keys, words);
+            let first = w * self.per_word;
+            consume(first..self.instances.min(first + self.per_word), words);
+        }
     }
 
     /// Evaluate all instances for one key into `out` (length must equal
-    /// `instances`). Evaluates each underlying word exactly once — the hot
-    /// path of the sum-aggregation checker.
+    /// `instances`), evaluating each underlying word exactly once.
     #[inline]
     pub fn hash_all(&self, x: u64, out: &mut [u64]) {
         debug_assert_eq!(out.len(), self.instances);
-        // Fast path: one hash word feeds every instance (true for all of
-        // the paper's practically relevant configurations, §7.1).
-        if let [hasher] = self.words.as_slice() {
-            let mut word = hasher.hash(x);
-            for slot in out.iter_mut() {
-                *slot = word & self.mask;
-                word >>= self.bits;
+        for (hasher, group) in self.words.iter().zip(out.chunks_mut(self.per_word)) {
+            let word = hasher.hash(x);
+            for (k, value) in group.iter_mut().enumerate() {
+                *value = self.slot(word, k);
             }
-            return;
-        }
-        let mut i = 0;
-        for hasher in &self.words {
-            let mut word = hasher.hash(x);
-            let in_this_word = self.per_word.min(self.instances - i);
-            for slot in out[i..i + in_this_word].iter_mut() {
-                *slot = word & self.mask;
-                word >>= self.bits;
-            }
-            i += in_this_word;
         }
     }
 }
@@ -172,6 +278,53 @@ mod tests {
                     assert_eq!(v, p.hash(i, x), "kind={kind:?} x={x} i={i}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn hash_block_matches_hash() {
+        // One word, several words, a partly used last word, full width.
+        for (kind, instances, bits) in [
+            (HasherKind::Tab64, 16, 4),
+            (HasherKind::Tab64, 16, 10),
+            (HasherKind::Crc32c, 16, 4),
+            (HasherKind::Tab32, 5, 9),
+            (HasherKind::Tab64, 3, 64),
+        ] {
+            let p = PartitionedHash::new(kind, 17, instances, bits);
+            let keys: Vec<u64> = (0..300u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let mut words = vec![0u64; keys.len() + 5];
+            let mut seen = vec![0usize; instances];
+            p.hash_block(&keys, &mut words, |range, words| {
+                assert_eq!(words.len(), keys.len());
+                for (k, i) in range.enumerate() {
+                    seen[i] += 1;
+                    for (&key, &word) in keys.iter().zip(words) {
+                        assert_eq!(p.slot(word, k), p.hash(i, key), "{kind:?} i={i}");
+                    }
+                }
+            });
+            assert!(seen.iter().all(|&n| n == 1), "{kind:?}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn bucket_map_widths() {
+        assert_eq!(BucketMap::new(16, 64), BucketMap::Pow2 { mask: 15 });
+        assert_eq!(BucketMap::new(16, 64).bits(), 4);
+        assert_eq!(BucketMap::new(2, 32).bits(), 1);
+        assert_eq!(BucketMap::new(1, 32).bits(), 1);
+        // d = 37: ⌈log₂ 37⌉ = 6, widened by 12, capped at the hash width.
+        assert_eq!(
+            BucketMap::new(37, 64),
+            BucketMap::FastRange { d: 37, bits: 18 }
+        );
+        assert_eq!(BucketMap::new(1 << 20 | 1, 32).bits(), 32);
+        for d in [3usize, 37, 1000] {
+            let map = BucketMap::new(d, 64);
+            let top = (1u64 << map.bits()) - 1;
+            assert_eq!(map.map(0), 0);
+            assert_eq!(map.map(top), d - 1, "d={d}");
         }
     }
 

@@ -34,7 +34,7 @@
 //! knows when capacity is expected to free up.
 //!
 //! **Waiting.** No thread waits by sleeping: the scheduling loop, the
-//! `wait`/`watch` handlers and the heartbeat senders park on a [`Wake`]
+//! `wait`/`watch` handlers and the heartbeat senders park on a `Wake`
 //! (generation counter + condvar) that the event they wait for moves,
 //! and the listener blocks in `accept` until shutdown connects to it.
 //! `docs/ARCHITECTURE.md` names the wake edges.

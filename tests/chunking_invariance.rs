@@ -328,7 +328,13 @@ proptest! {
     /// leaves the sketch exactly where per-item `update` does — digest,
     /// `count()` and `next_index()` — over lengths on both sides of the
     /// 256-item block, every `PermMethod`, all three hashers, and zip
-    /// start offsets whose position run crosses a byte carry.
+    /// start offsets whose position run crosses a byte carry. The sum
+    /// and xor folds run at one-word and multi-word partitions (the
+    /// tuner's top rung 16×1024 Tab64 needs three words, 16×16 CRC two),
+    /// with power-of-two and fast-range (d = 37) bucket maps, values next
+    /// to `u64::MAX` (the lazy-overflow path) and the signed lane; the
+    /// hash-sum permutation fold at slot widths that leave the last word
+    /// partly used.
     #[test]
     fn update_iter_matches_elementwise_update(
         pairs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..700),
@@ -340,32 +346,60 @@ proptest! {
     ) {
         use ccheck::permutation::PermMethod;
         let items: Vec<u64> = pairs.iter().map(|p| p.1).collect();
+        let near_max: Vec<(u64, u64)> =
+            pairs.iter().map(|&(k, v)| (k, u64::MAX - (v & 0xFFFF))).collect();
+        let signed: Vec<(u64, i64)> = pairs.iter().map(|&(k, v)| (k, v as i64)).collect();
 
-        let sum = SumChecker::new(SumCheckConfig::new(4, 8, 5, HasherKind::Tab64), seed);
-        prop_assert_eq!(
-            fold_blockwise(sum.sketch(), &pairs, cut).finalize(),
-            fold_elementwise(sum.sketch(), &pairs).finalize()
-        );
-        let xor = XorChecker::new(XorCheckConfig::new(4, 16, HasherKind::Tab64), seed);
-        prop_assert_eq!(
-            fold_blockwise(xor.sketch(), &pairs, cut).finalize(),
-            fold_elementwise(xor.sketch(), &pairs).finalize()
-        );
+        for cfg in [
+            SumCheckConfig::new(4, 8, 5, HasherKind::Tab64),
+            SumCheckConfig::new(3, 37, 8, HasherKind::Tab64),
+            SumCheckConfig::new(16, 1024, 24, HasherKind::Tab64),
+            SumCheckConfig::new(16, 16, 15, HasherKind::Crc32c),
+        ] {
+            let sum = SumChecker::new(cfg, seed);
+            for data in [&pairs, &near_max] {
+                prop_assert!(
+                    fold_blockwise(sum.sketch(), data, cut).finalize()
+                        == fold_elementwise(sum.sketch(), data).finalize(),
+                    "{}", cfg
+                );
+            }
+            let (head, tail) = signed.split_at(cut.min(signed.len()));
+            let mut blockwise = sum.sketch();
+            blockwise.update_signed_iter(head.iter().copied());
+            blockwise.update_signed_iter(tail.iter().copied());
+            let mut elementwise = sum.sketch();
+            for &pair in &signed {
+                elementwise.update_signed(pair);
+            }
+            prop_assert!(blockwise.finalize() == elementwise.finalize(), "signed {}", cfg);
+        }
+        for (its, d) in [(4, 16), (16, 1024)] {
+            let xor = XorChecker::new(XorCheckConfig::new(its, d, HasherKind::Tab64), seed);
+            prop_assert_eq!(
+                fold_blockwise(xor.sketch(), &pairs, cut).finalize(),
+                fold_elementwise(xor.sketch(), &pairs).finalize()
+            );
+        }
 
-        for method in [
-            PermMethod::HashSum { hasher: HasherKind::Tab64, log_h: 32 },
+        let hash_sums = [32, 21, 16, 1]
+            .map(|log_h| PermMethod::HashSum { hasher: HasherKind::Tab64, log_h });
+        let methods = hash_sums.into_iter().chain([
             PermMethod::HashSum { hasher: HasherKind::Tab32, log_h: 7 },
             PermMethod::HashSum { hasher: HasherKind::Crc32c, log_h: 16 },
             PermMethod::PolyField,
             PermMethod::PolyGf64,
-        ] {
-            let perm = PermChecker::new(PermCheckConfig { method, iterations: 3 }, seed);
-            let blockwise = fold_blockwise(perm.sketch(), &items, cut);
-            prop_assert_eq!(blockwise.count(), items.len() as u64);
-            prop_assert_eq!(
-                blockwise.finalize(),
-                fold_elementwise(perm.sketch(), &items).finalize()
-            );
+        ]);
+        for method in methods {
+            for iterations in [1, 3, 5] {
+                let perm = PermChecker::new(PermCheckConfig { method, iterations }, seed);
+                let blockwise = fold_blockwise(perm.sketch(), &items, cut);
+                prop_assert_eq!(blockwise.count(), items.len() as u64);
+                prop_assert!(
+                    blockwise.finalize() == fold_elementwise(perm.sketch(), &items).finalize(),
+                    "{:?} iterations={}", method, iterations
+                );
+            }
         }
 
         // A start from which the run carries out of byte `carry_byte`

@@ -148,6 +148,54 @@ fn perm_iterations_square_the_failure_probability() {
 }
 
 #[test]
+fn slices_of_one_tabulation_word_are_independent_iterations() {
+    // Tab64 at log_h = 2: both iterations are 2-bit slices of the same
+    // hash word. A randomized element escapes one iteration with
+    // probability 1/4; if the slices were correlated, the pair would
+    // miss at nearly that rate too, instead of the product 1/16.
+    const TRIALS: u64 = 2400;
+    let input = uniform_ints(8, 1 << 40, 0..300);
+    let miss_rate = |iterations: usize| -> f64 {
+        let cfg = PermCheckConfig {
+            method: ccheck::PermMethod::HashSum {
+                hasher: HasherKind::Tab64,
+                log_h: 2,
+            },
+            iterations,
+        };
+        let mut misses = 0u64;
+        let mut effective = 0u64;
+        let mut seed = 0u64;
+        while effective < TRIALS {
+            let mut bad = input.clone();
+            let s = seed;
+            seed += 1;
+            if !PermManipulator::Randomize.apply(&mut bad, s) {
+                continue;
+            }
+            effective += 1;
+            if PermChecker::new(cfg, s ^ 0x511C).check_local(&input, &bad) {
+                misses += 1;
+            }
+        }
+        misses as f64 / TRIALS as f64
+    };
+    // Binomial slack: four standard deviations of the rate at `p`.
+    let slack = |p: f64| 4.0 * (p * (1.0 - p) / TRIALS as f64).sqrt();
+    let single = miss_rate(1);
+    assert!(
+        (single - 0.25).abs() <= slack(0.25),
+        "one 2-bit iteration misses at {single}, not ≈ 1/4"
+    );
+    let pair = miss_rate(2);
+    let bound = 1.0 / 16.0 + slack(1.0 / 16.0);
+    assert!(
+        pair <= bound,
+        "two slices of one word miss at {pair} > {bound}: correlated"
+    );
+}
+
+#[test]
 fn one_sidedness_over_many_seeds() {
     // The defining property: correct results are never rejected.
     let input = zipf_valued_pairs(4, 10_000, 1 << 32, 0..3_000);

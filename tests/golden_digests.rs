@@ -7,6 +7,10 @@
 //! produced by the element-wise kernels they replace: this test must
 //! pass *untouched* across such a change.
 //!
+//! One deliberate exception, noted in the fixture header: the hash-sum
+//! permutation lines of Tab64 at more than one iteration were
+//! re-recorded when its iterations became slices of shared hash words.
+//!
 //! Coverage: sum / xor / perm / zip (lane 0, lane 1, pairs) × {Tab64,
 //! Tab32, CRC} × every iteration count on the service tuner's ladder ×
 //! three seeds × lengths around the 256-item block size × zip start
@@ -106,7 +110,10 @@ where
 fn compute_fixture() -> String {
     let mut out = String::from(
         "# Golden sketch digests — see tests/golden_digests.rs. Do not edit by hand.\n\
-         # columns: lengths 0 1 255 256 257 5000 (zip: offsets 0 250 0xFFF0 0xFFFFFFF0 hashed together)\n",
+         # columns: lengths 0 1 255 256 257 5000 (zip: offsets 0 250 0xFFF0 0xFFFFFFF0 hashed together)\n\
+         # Re-recorded deliberately: the 12 `perm Tab64 its∈{2,4,8,16}` lines, when hash-sum\n\
+         # iterations became 32-bit slices of shared Tab64 words (two iterations per word).\n\
+         # Every other line is unchanged since the element-wise kernels recorded it.\n",
     );
     for kind in KINDS {
         for its in ITERATIONS {
