@@ -130,7 +130,8 @@ pub trait Sketch: Sized {
 
 /// Items per block of a block fold (see the module docs): 2 KiB of
 /// `u64` per scratch array, small next to one hasher's 16 KiB of tables.
-pub(crate) const BLOCK: usize = 256;
+/// Also the block size a [`Tee`] hands its observer.
+pub const BLOCK: usize = 256;
 
 /// Scratch of one bucketed block fold of up to `N` pairs: the keys, and
 /// one hash word per key. A stack array sized to the block: `N = 1` for a
@@ -208,6 +209,126 @@ pub(crate) fn for_each_block<T: Copy + Default>(
     }
     if filled > 0 {
         fold(&block[..filled]);
+    }
+}
+
+/// Single-pass checking: an iterator adaptor that shows every item of a
+/// stream to an observer on its way to the consumer.
+///
+/// A `Tee` pulls up to [`BLOCK`] items from the inner stream, hands that
+/// block to `observe`, and then yields the items one by one. Passing
+/// `&mut tee` to an operation that ingests an iterator (the chunked
+/// dataflow ops) lets a checker fold the operation's input *in the
+/// operation's own pass*: nothing is regenerated or copied for the
+/// checker, and the observer sees block-sized slices, which is what the
+/// block folds want (`|block| sketch.update_iter(block.iter().copied())`).
+///
+/// Every item reaches `observe` exactly once, in stream order, before
+/// it is yielded; blocks are never empty. An operation may stop reading
+/// early, so dropping the tee drains the rest of the stream through
+/// `observe` ([`Tee::finish`] spells that drop out): an operation that
+/// silently drops a suffix is checked against the whole input, not
+/// against the prefix it read. The observer's borrows (the checker's
+/// sketch) last until that drop, so the compiler rejects reading the
+/// sketch before the drain.
+///
+/// ```
+/// use ccheck::sketch::{Sketch, Tee};
+/// use ccheck::{PermCheckConfig, PermChecker};
+/// use ccheck_hashing::HasherKind;
+///
+/// let checker = PermChecker::new(PermCheckConfig::hash_sum(HasherKind::Tab64, 32), 7);
+/// let mut input = checker.sketch();
+/// let mut tee = Tee::new(0..1000u64, |block| input.update_iter(block.iter().copied()));
+/// // The "operation" reads half of its input...
+/// let output: Vec<u64> = tee.by_ref().take(500).collect();
+/// tee.finish();
+/// // ...and the checker, having seen all of it, rejects the result.
+/// let mut asserted = checker.sketch();
+/// asserted.update_iter(output);
+/// assert_ne!(input.finalize(), asserted.finalize());
+/// ```
+pub struct Tee<I, F>
+where
+    I: Iterator,
+    I::Item: Copy + Default,
+    F: FnMut(&[I::Item]),
+{
+    inner: std::iter::Fuse<I>,
+    observe: F,
+    block: [I::Item; BLOCK],
+    /// Items in the current block, all already observed.
+    filled: usize,
+    /// Items of the current block already yielded.
+    next: usize,
+}
+
+impl<I, F> Tee<I, F>
+where
+    I: Iterator,
+    I::Item: Copy + Default,
+    F: FnMut(&[I::Item]),
+{
+    /// Wrap `items`, showing each block of them to `observe`.
+    pub fn new(items: impl IntoIterator<IntoIter = I>, observe: F) -> Self {
+        Tee {
+            inner: items.into_iter().fuse(),
+            observe,
+            block: [I::Item::default(); BLOCK],
+            filled: 0,
+            next: 0,
+        }
+    }
+
+    /// Drop the tee, which hands whatever the consumer did not read to
+    /// the observer.
+    pub fn finish(self) {
+        drop(self);
+    }
+}
+
+impl<I, F> Drop for Tee<I, F>
+where
+    I: Iterator,
+    I::Item: Copy + Default,
+    F: FnMut(&[I::Item]),
+{
+    /// The rest of the current block was observed when it was pulled;
+    /// the rest of the stream goes through `observe` in blocks. Skipped
+    /// while unwinding: the job is failing anyway, and a lazy input may
+    /// be long.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            for_each_block(&mut self.inner, &mut self.observe);
+        }
+    }
+}
+
+impl<I, F> Iterator for Tee<I, F>
+where
+    I: Iterator,
+    I::Item: Copy + Default,
+    F: FnMut(&[I::Item]),
+{
+    type Item = I::Item;
+
+    #[inline]
+    fn next(&mut self) -> Option<I::Item> {
+        if self.next == self.filled {
+            self.next = 0;
+            self.filled = 0;
+            for (slot, item) in self.block.iter_mut().zip(self.inner.by_ref()) {
+                *slot = item;
+                self.filled += 1;
+            }
+            if self.filled == 0 {
+                return None;
+            }
+            (self.observe)(&self.block[..self.filled]);
+        }
+        let item = self.block[self.next];
+        self.next += 1;
+        Some(item)
     }
 }
 
@@ -310,6 +431,72 @@ mod tests {
                 seen.extend_from_slice(block);
             });
             assert_eq!(seen, (0..n as u64).collect::<Vec<_>>(), "n={n}");
+        }
+    }
+
+    const TEE_LENGTHS: [usize; 6] = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7];
+
+    #[test]
+    fn tee_observes_every_item_once_before_yielding_it() {
+        for n in TEE_LENGTHS {
+            for stop in 0..=n {
+                let observed = std::cell::RefCell::new(Vec::new());
+                let mut tee = Tee::new(0..n as u64, |block: &[u64]| {
+                    assert!(!block.is_empty() && block.len() <= BLOCK, "n={n}");
+                    observed.borrow_mut().extend_from_slice(block);
+                });
+                for (i, item) in tee.by_ref().take(stop).enumerate() {
+                    assert_eq!(item, i as u64, "n={n} stop={stop}: yielded out of order");
+                    assert_eq!(
+                        observed.borrow().get(i),
+                        Some(&item),
+                        "n={n} stop={stop}: yielded before observed"
+                    );
+                }
+                if stop == n {
+                    assert_eq!(tee.next(), None, "n={n}");
+                }
+                tee.finish();
+                assert_eq!(
+                    *observed.borrow(),
+                    (0..n as u64).collect::<Vec<_>>(),
+                    "n={n} stop={stop}: finish must deliver the rest, once"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sketches_folded_through_a_tee_match_update_iter() {
+        use crate::{PermCheckConfig, PermChecker, SumCheckConfig, SumChecker};
+        use ccheck_hashing::HasherKind;
+
+        let sum = SumChecker::new(SumCheckConfig::new(4, 16, 9, HasherKind::Tab64), 5);
+        let perm = PermChecker::new(PermCheckConfig::hash_sum(HasherKind::Tab64, 32), 5);
+        for n in TEE_LENGTHS {
+            let pairs: Vec<(u64, u64)> = (0..n as u64).map(|i| (i % 41, i * 7 + 1)).collect();
+            for stop in [0, n / 2, n] {
+                let mut teed = sum.sketch();
+                let mut tee = Tee::new(pairs.iter().copied(), |block: &[(u64, u64)]| {
+                    teed.update_iter(block.iter().copied())
+                });
+                tee.by_ref().take(stop).for_each(drop);
+                tee.finish();
+                let mut whole = sum.sketch();
+                whole.update_iter(pairs.iter().copied());
+                assert_eq!(teed.finalize(), whole.finalize(), "sum n={n} stop={stop}");
+
+                let keys = pairs.iter().map(|&(k, v)| k ^ v);
+                let mut teed = perm.sketch();
+                let mut tee = Tee::new(keys.clone(), |block: &[u64]| {
+                    teed.update_iter(block.iter().copied())
+                });
+                tee.by_ref().take(stop).for_each(drop);
+                tee.finish();
+                let mut whole = perm.sketch();
+                whole.update_iter(keys);
+                assert_eq!(teed.finalize(), whole.finalize(), "perm n={n} stop={stop}");
+            }
         }
     }
 

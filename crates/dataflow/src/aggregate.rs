@@ -126,13 +126,10 @@ pub struct AverageResult {
 /// no GroupBy needed. Returns this PE's shard plus the count certificate.
 pub fn average_by_key(comm: &mut Comm, data: Vec<Pair>, hasher: &Hasher) -> AverageResult {
     // Encode (sum, count) into two parallel reductions over the same keys.
-    let sums = reduce_by_key(comm, data.clone(), hasher, |a, b| a + b);
-    let counts = reduce_by_key(
-        comm,
-        data.into_iter().map(|(k, _)| (k, 1)).collect(),
-        hasher,
-        |a, b| a + b,
-    );
+    let sums = reduce_by_key(comm, data.iter().copied(), hasher, |a, b| a + b);
+    let counts = reduce_by_key(comm, data.iter().map(|&(k, _)| (k, 1)), hasher, |a, b| {
+        a + b
+    });
     debug_assert_eq!(sums.len(), counts.len());
     let averages = sums
         .iter()

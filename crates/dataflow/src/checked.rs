@@ -12,6 +12,12 @@
 //! bitflip — will not recur), and after `max_retries` failures it falls
 //! back to a simple, slow, gather-everything reference implementation on
 //! PE 0 (deterministic, easy to audit — the "simpler but slower method").
+//!
+//! The operation *borrows* its input (`&[T]`): every attempt, the
+//! checker and the fallback read the caller's original data, and nothing
+//! is copied on the checker's behalf. An operation that needs a working
+//! copy — a sort permutes its input — makes it itself, inside its own
+//! time.
 
 use std::collections::HashMap;
 
@@ -52,7 +58,7 @@ pub fn checked_reduce_by_key(
     max_retries: usize,
 ) -> (Vec<Pair>, CheckedOutcome) {
     checked_reduce_with(comm, data, cfg, seed, max_retries, |comm, data| {
-        reduce_by_key(comm, data, hasher, |a, b| a.wrapping_add(b))
+        reduce_by_key(comm, data.iter().copied(), hasher, |a, b| a.wrapping_add(b))
     })
 }
 
@@ -68,10 +74,10 @@ pub fn checked_reduce_with<F>(
     mut operation: F,
 ) -> (Vec<Pair>, CheckedOutcome)
 where
-    F: FnMut(&mut Comm, Vec<Pair>) -> Vec<Pair>,
+    F: FnMut(&mut Comm, &[Pair]) -> Vec<Pair>,
 {
     for attempt in 0..=max_retries {
-        let output = operation(comm, data.clone());
+        let output = operation(comm, &data);
         let checker = SumChecker::new(cfg, seed.wrapping_add(attempt as u64));
         if checker.check_distributed(comm, &data, &output) {
             let outcome = if attempt == 0 {
@@ -118,7 +124,9 @@ pub fn checked_sort(
     perm: &PermChecker,
     max_retries: usize,
 ) -> (Vec<u64>, CheckedOutcome) {
-    checked_sort_with(comm, data, perm, max_retries, sort)
+    checked_sort_with(comm, data, perm, max_retries, |comm, d| {
+        sort(comm, d.to_vec())
+    })
 }
 
 /// Generic form of [`checked_sort`] taking the (possibly faulty) sort
@@ -132,10 +140,10 @@ pub fn checked_sort_with<F>(
     mut operation: F,
 ) -> (Vec<u64>, CheckedOutcome)
 where
-    F: FnMut(&mut Comm, Vec<u64>) -> Vec<u64>,
+    F: FnMut(&mut Comm, &[u64]) -> Vec<u64>,
 {
     for attempt in 0..=max_retries {
-        let output = operation(comm, data.clone());
+        let output = operation(comm, &data);
         if check_sorted(comm, &data, &output, perm) {
             let outcome = if attempt == 0 {
                 CheckedOutcome::FastPath
@@ -225,7 +233,9 @@ mod tests {
             let cfg = SumCheckConfig::new(6, 16, 9, HasherKind::Tab64);
             let mut attempt = 0;
             checked_reduce_with(comm, data, cfg, 5, 3, |comm, data| {
-                let mut out = reduce_by_key(comm, data, &hasher, |a, b| a.wrapping_add(b));
+                let mut out = reduce_by_key(comm, data.iter().copied(), &hasher, |a, b| {
+                    a.wrapping_add(b)
+                });
                 attempt += 1;
                 if attempt == 1 && comm.rank() == 0 && !out.is_empty() {
                     out[0].1 ^= 0x40; // transient bitflip
@@ -252,7 +262,7 @@ mod tests {
             let data: Vec<u64> = (0..90).map(|i| (rank * 90 + i) * 13 % 500).collect();
             let perm = PermChecker::new(PermCheckConfig::hash_sum(HasherKind::Tab64, 32), 9);
             checked_sort_with(comm, data, &perm, 1, |comm, d| {
-                let mut out = crate::sort::sort(comm, d);
+                let mut out = crate::sort::sort(comm, d.to_vec());
                 if comm.rank() == 0 && out.len() >= 2 {
                     out[0] = out[1].wrapping_add(1); // persistent corruption
                 }
@@ -278,7 +288,9 @@ mod tests {
             let hasher = Hasher::new(HasherKind::Tab64, 1);
             let cfg = SumCheckConfig::new(6, 16, 9, HasherKind::Tab64);
             checked_reduce_with(comm, data, cfg, 5, 2, |comm, data| {
-                let mut out = reduce_by_key(comm, data, &hasher, |a, b| a.wrapping_add(b));
+                let mut out = reduce_by_key(comm, data.iter().copied(), &hasher, |a, b| {
+                    a.wrapping_add(b)
+                });
                 if comm.rank() == 0 && !out.is_empty() {
                     out[0].1 = out[0].1.wrapping_add(13); // hard fault
                 }

@@ -159,7 +159,7 @@ impl Dia<Pair> {
         cfg: SumCheckConfig,
     ) -> Result<Dia<Pair>, CheckRejected> {
         let hasher = ctx.partition_hasher.clone();
-        let out = reduce_by_key(ctx.comm, self.local.clone(), &hasher, |a, b| {
+        let out = reduce_by_key(ctx.comm, self.local.iter().copied(), &hasher, |a, b| {
             a.wrapping_add(b)
         });
         let checker = SumChecker::new(cfg, ctx.next_seed());

@@ -17,12 +17,17 @@ use crate::Pair;
 /// This is the operation
 /// `SELECT key, SUM(value) FROM table GROUP BY key` when
 /// `reduce = |a, b| a + b`.
-pub fn reduce_by_key<F>(comm: &mut Comm, data: Vec<Pair>, hasher: &Hasher, reduce: F) -> Vec<Pair>
+///
+/// The input is consumed element by element, so a caller holding a
+/// slice passes `data.iter().copied()` rather than a copy of it.
+pub fn reduce_by_key<I, F>(comm: &mut Comm, data: I, hasher: &Hasher, reduce: F) -> Vec<Pair>
 where
+    I: IntoIterator<Item = Pair>,
     F: Fn(u64, u64) -> u64,
 {
     // Phase 1: local pre-reduction (the hash table `h` of §2).
-    let mut table: HashMap<u64, u64> = HashMap::with_capacity(data.len().min(1 << 16));
+    let data = data.into_iter();
+    let mut table: HashMap<u64, u64> = HashMap::with_capacity(data.size_hint().0.min(1 << 16));
     for (k, v) in data {
         table
             .entry(k)

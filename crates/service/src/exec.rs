@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use ccheck::config::SumCheckConfig;
 use ccheck::permutation::{PermCheckConfig, PermChecker};
+use ccheck::sketch::{Sketch, Tee};
 use ccheck::sort::check_globally_sorted;
 use ccheck::zip::{ZipCheckConfig, ZipChecker};
 use ccheck::SumChecker;
@@ -33,17 +34,30 @@ use ccheck_workloads::{local_range, uniform_ints_iter, zipf_valued_pairs_iter};
 use crate::job::{FaultSpec, JobOp, JobSpec, Receipt, ReceiptComm, ReceiptTiming, Verdict};
 
 /// Microsecond accumulators for one job's phases. `generate` covers
-/// eager input materialization (chunked modes generate lazily inside
-/// the operation, so their generate share rides in `execute`);
+/// eager input materialization (chunked reduce and sort generate lazily
+/// inside the operation, so their generate share rides in `execute`);
 /// `execute` is the data operation itself (including injected faults
-/// and any checker-driven retries); `check` is checker time. Whatever
-/// the job spent outside all three (digests, the stats gather) is the
-/// receipt overhead, reported to the metrics registry as the remainder.
+/// and any checker-driven retries); `check` is checker time, including
+/// the input fold a chunked job's [`Tee`] runs inside the operation's
+/// pass (see [`PhaseTimes::rebook_fold`]). Whatever the job spent
+/// outside all three (digests, the stats gather) is the receipt
+/// overhead, reported to the metrics registry as the remainder.
 #[derive(Debug, Default, Clone, Copy)]
 struct PhaseTimes {
     generate_us: u64,
     execute_us: u64,
     check_us: u64,
+}
+
+impl PhaseTimes {
+    /// Move `fold_ns` of checker folding that ran inside the operation's
+    /// timed pass from execute to check, so checker ÷ operation stays
+    /// what it says.
+    fn rebook_fold(&mut self, fold_ns: u64) {
+        let fold_us = fold_ns / 1000;
+        self.execute_us = self.execute_us.saturating_sub(fold_us);
+        self.check_us += fold_us;
+    }
 }
 
 /// Run `f`, adding its wall microseconds to `acc`.
@@ -52,6 +66,20 @@ fn timed<T>(acc: &mut u64, f: impl FnOnce() -> T) -> T {
     let out = f();
     *acc += t.elapsed().as_micros() as u64;
     out
+}
+
+/// The [`Tee`] observer of a single-pass job: fold each input block
+/// into `sketch`, adding the fold's nanoseconds to `fold_ns` (a block
+/// folds in a few µs, which whole microseconds would floor away).
+fn fold_timed<'s, S: Sketch>(sketch: &'s mut S, fold_ns: &'s mut u64) -> impl FnMut(&[S::Item]) + 's
+where
+    S::Item: Copy,
+{
+    move |block| {
+        let t = Instant::now();
+        sketch.update_iter(block.iter().copied());
+        *fold_ns += t.elapsed().as_nanos() as u64;
+    }
 }
 
 /// Cached handles for the per-phase job histograms — resolved once so
@@ -373,7 +401,7 @@ fn reduce_oneshot(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verd
         spec.max_retries as usize,
         |comm, d| {
             let t = Instant::now();
-            let mut out = reduce_by_key(comm, d, &hasher, |a, b| a.wrapping_add(b));
+            let mut out = reduce_by_key(comm, d.iter().copied(), &hasher, |a, b| a.wrapping_add(b));
             if let Some((manip, f)) = &fault {
                 if comm.rank() == 0 {
                     apply_effective(&mut out, f.seed, |d, s| manip.apply(d, s));
@@ -397,24 +425,32 @@ fn reduce_chunked(
     ph: &mut PhaseTimes,
 ) -> (Verdict, u64, u64) {
     let range = local_range(spec.n as usize, comm.rank(), comm.size());
-    // Lazy input: generation interleaves with the chunked operation (and
-    // with the checker's replay), so it is not separable here — the
-    // execute/check phases absorb their own shares.
-    let input = zipf_valued_pairs_iter(spec.seed, spec.keys, 1 << 20, range);
     let hasher = partition_hasher(spec);
+    let checker = SumChecker::new(sum_cfg(spec), check_seed(spec));
+    // Single pass: the lazy input is generated once, inside the
+    // operation, and the tee folds each block into the checker's input
+    // sketch on its way in.
+    let mut input = checker.sketch();
+    let mut fold_ns = 0;
     let mut shard = timed(&mut ph.execute_us, || {
-        reduce_by_key_chunked(comm, input.clone(), &hasher, chunk, |a, b| {
-            a.wrapping_add(b)
-        })
+        let mut tee = Tee::new(
+            zipf_valued_pairs_iter(spec.seed, spec.keys, 1 << 20, range),
+            fold_timed(&mut input, &mut fold_ns),
+        );
+        let shard = reduce_by_key_chunked(comm, &mut tee, &hasher, chunk, |a, b| a.wrapping_add(b));
+        tee.finish();
+        shard
     });
+    ph.rebook_fold(fold_ns);
     if let Some((manip, f)) = reduce_fault(spec) {
         if comm.rank() == 0 {
             apply_effective(&mut shard, f.seed, |d, s| manip.apply(d, s));
         }
     }
-    let checker = SumChecker::new(sum_cfg(spec), check_seed(spec));
     let ok = timed(&mut ph.check_us, || {
-        checker.check_distributed_stream(comm, input, shard.iter().copied())
+        let mut asserted = checker.sketch();
+        asserted.update_iter(shard.iter().copied());
+        checker.check_distributed_sketches(comm, input, asserted)
     });
     let verdict = if ok {
         Verdict::Verified
@@ -449,7 +485,7 @@ fn sort_oneshot(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdic
     let (out, outcome) =
         checked_sort_with(comm, data, &perm, spec.max_retries as usize, |comm, d| {
             let t = Instant::now();
-            let mut out = sort(comm, d);
+            let mut out = sort(comm, d.to_vec());
             if let Some((manip, f)) = &fault {
                 if comm.rank() == 0 {
                     apply_effective(&mut out, f.seed, |d, s| manip.apply(d, s));
@@ -474,23 +510,33 @@ fn sort_chunked_job(
     ph: &mut PhaseTimes,
 ) -> (Verdict, u64, u64) {
     let range = local_range(spec.n as usize, comm.rank(), comm.size());
-    // Lazy input, as in `reduce_chunked`: generation rides inside the
-    // phases that consume the iterator.
-    let input = uniform_ints_iter(spec.seed, spec.keys.max(2), range);
+    let perm = perm_checker(spec);
+    // Single pass, as in `reduce_chunked`.
+    let mut input = perm.sketch();
+    let mut fold_ns = 0;
     let mut out = timed(&mut ph.execute_us, || {
-        sort_chunked(comm, input.clone(), chunk)
+        let mut tee = Tee::new(
+            uniform_ints_iter(spec.seed, spec.keys.max(2), range),
+            fold_timed(&mut input, &mut fold_ns),
+        );
+        let out = sort_chunked(comm, &mut tee, chunk);
+        tee.finish();
+        out
     });
+    ph.rebook_fold(fold_ns);
     if let Some((manip, f)) = sort_fault(spec) {
         if comm.rank() == 0 {
             apply_effective(&mut out, f.seed, |d, s| manip.apply(d, s));
         }
     }
     // The streaming mirror of `check_sorted`: permutation fingerprint
-    // over regenerated input + local/boundary sortedness. Same collective
-    // sequence on every PE (each sub-verdict is itself SPMD-consistent).
-    let perm = perm_checker(spec);
+    // of the teed input against the output + local/boundary sortedness.
+    // Same collective sequence on every PE (each sub-verdict is itself
+    // SPMD-consistent).
     let ok = timed(&mut ph.check_us, || {
-        let is_perm = perm.check_stream(comm, input, out.iter().copied());
+        let mut asserted = perm.sketch();
+        asserted.update_iter(out.iter().copied());
+        let is_perm = perm.check_distributed_sketches(comm, input, asserted);
         check_globally_sorted(comm, &out) && is_perm
     });
     let verdict = if ok {
@@ -555,6 +601,7 @@ fn zip_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccheck::sketch::BLOCK;
     use ccheck_net::run;
 
     fn run_spec(p: usize, spec: JobSpec) -> Vec<Receipt> {
@@ -592,6 +639,10 @@ mod tests {
         }
     }
 
+    /// Chunk sizes that put the op's chunk boundaries on, just before and
+    /// just after the tee's block boundaries (and one chunk per element).
+    const TEE_EDGE_CHUNKS: [u64; 4] = [1, BLOCK as u64 - 1, BLOCK as u64, BLOCK as u64 + 1];
+
     #[test]
     fn faulty_oneshot_jobs_fall_back_and_still_deliver() {
         for (op, fault) in [
@@ -599,41 +650,51 @@ mod tests {
             (JobOp::Sort, "dupneighbor"),
             (JobOp::Sort, "swapadjacent"),
         ] {
-            let spec = JobSpec {
-                op,
-                n: 3_000,
-                keys: 53,
-                seed: 5,
-                max_retries: 1,
-                fault: Some(FaultSpec {
-                    kind: fault.into(),
-                    seed: 3,
-                }),
-                ..JobSpec::default()
-            };
-            let clean = JobSpec {
-                fault: None,
-                ..spec.clone()
-            };
-            let faulty_receipts = run_spec(3, spec);
-            let clean_receipts = run_spec(3, clean);
-            for r in &faulty_receipts {
-                assert_eq!(r.verdict, Verdict::FellBack, "{op:?}/{fault}");
+            for p in [1, 3] {
+                let spec = JobSpec {
+                    op,
+                    n: 3_000,
+                    keys: 53,
+                    seed: 5,
+                    max_retries: 1,
+                    fault: Some(FaultSpec {
+                        kind: fault.into(),
+                        seed: 3,
+                    }),
+                    ..JobSpec::default()
+                };
+                let clean = JobSpec {
+                    fault: None,
+                    ..spec.clone()
+                };
+                let faulty_receipts = run_spec(p, spec);
+                let clean_receipts = run_spec(p, clean);
+                for r in &faulty_receipts {
+                    assert_eq!(r.verdict, Verdict::FellBack, "{op:?}/{fault} p={p}");
+                }
+                // Graceful degradation: the fallback recomputed the
+                // correct result — same digest as the clean run.
+                assert_eq!(
+                    faulty_receipts[0].digest, clean_receipts[0].digest,
+                    "{op:?}/{fault} p={p}"
+                );
             }
-            // Graceful degradation: the fallback recomputed the correct
-            // result — same digest as the clean run.
-            assert_eq!(faulty_receipts[0].digest, clean_receipts[0].digest);
         }
     }
 
     #[test]
     fn faulty_chunked_and_zip_jobs_reject() {
-        for (op, chunk, fault) in [
-            (JobOp::Reduce, 256u64, "bitflip"),
-            (JobOp::Sort, 256, "dupneighbor"),
-            (JobOp::Zip, 0, "swapcomponents"),
-            (JobOp::Zip, 256, "swappairs"),
-        ] {
+        let mut cases = vec![
+            (JobOp::Zip, 3, 0u64, "swapcomponents"),
+            (JobOp::Zip, 3, 256, "swappairs"),
+        ];
+        for p in [1, 3] {
+            for chunk in TEE_EDGE_CHUNKS {
+                cases.push((JobOp::Reduce, p, chunk, "bitflip"));
+                cases.push((JobOp::Sort, p, chunk, "dupneighbor"));
+            }
+        }
+        for (op, p, chunk, fault) in cases {
             let spec = JobSpec {
                 op,
                 n: 3_000,
@@ -646,40 +707,48 @@ mod tests {
                 }),
                 ..JobSpec::default()
             };
-            let receipts = run_spec(3, spec);
+            let receipts = run_spec(p, spec);
             for r in &receipts {
-                assert_eq!(r.verdict, Verdict::Rejected, "{op:?}/{fault} chunk={chunk}");
+                assert_eq!(
+                    r.verdict,
+                    Verdict::Rejected,
+                    "{op:?}/{fault} p={p} chunk={chunk}"
+                );
             }
         }
     }
 
     #[test]
     fn chunked_and_oneshot_agree_on_digest() {
-        for op in [JobOp::Reduce, JobOp::Sort, JobOp::Zip] {
-            let oneshot = run_spec(
-                4,
-                JobSpec {
-                    op,
-                    n: 5_000,
-                    keys: 101,
-                    seed: 23,
-                    chunk: 0,
-                    ..JobSpec::default()
-                },
+        let spec = |op, chunk| JobSpec {
+            op,
+            n: 5_000,
+            keys: 101,
+            seed: 23,
+            chunk,
+            ..JobSpec::default()
+        };
+        let mut cases = vec![
+            (JobOp::Reduce, 4, 300),
+            (JobOp::Sort, 4, 300),
+            (JobOp::Zip, 4, 300),
+        ];
+        for p in [1, 3] {
+            for chunk in TEE_EDGE_CHUNKS {
+                cases.push((JobOp::Reduce, p, chunk));
+                cases.push((JobOp::Sort, p, chunk));
+            }
+        }
+        for (op, p, chunk) in cases {
+            let oneshot = run_spec(p, spec(op, 0));
+            let chunked = run_spec(p, spec(op, chunk));
+            let case = format!("{op:?} p={p} chunk={chunk}");
+            assert!(
+                chunked.iter().all(|r| r.verdict == Verdict::Verified),
+                "{case}"
             );
-            let chunked = run_spec(
-                4,
-                JobSpec {
-                    op,
-                    n: 5_000,
-                    keys: 101,
-                    seed: 23,
-                    chunk: 300,
-                    ..JobSpec::default()
-                },
-            );
-            assert_eq!(oneshot[0].digest, chunked[0].digest, "{op:?}");
-            assert_eq!(oneshot[0].output_elems, chunked[0].output_elems, "{op:?}");
+            assert_eq!(oneshot[0].digest, chunked[0].digest, "{case}");
+            assert_eq!(oneshot[0].output_elems, chunked[0].output_elems, "{case}");
         }
     }
 

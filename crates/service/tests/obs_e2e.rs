@@ -92,7 +92,18 @@ fn receipt_timing_present_monotone_and_replay_stable() {
     );
     let mut client = connect(addr);
     let mut receipts: Vec<Receipt> = Vec::new();
-    for spec in mixed_specs() {
+    // Chunked reduce and sort fold their input through the single-pass
+    // tee, whose fold time is moved from exec into check: the split
+    // must still fit inside the wall clock.
+    let single_pass = [(JobOp::Reduce, 256), (JobOp::Sort, 257)].map(|(op, chunk)| JobSpec {
+        op,
+        n: 20_000,
+        keys: 97,
+        seed: 14,
+        chunk,
+        ..JobSpec::default()
+    });
+    for spec in mixed_specs().into_iter().chain(single_pass) {
         let id = client.submit(&spec).expect("submit");
         receipts.push(client.wait(id).expect("wait"));
     }

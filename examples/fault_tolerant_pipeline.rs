@@ -32,7 +32,7 @@ fn pipeline(faulty_attempts: usize) -> (CheckedOutcome, bool) {
         let cfg = SumCheckConfig::new(6, 16, 9, HasherKind::Tab64); // δ ≈ 9e-8
         let mut attempt = 0usize;
         let (shard, outcome) = checked_reduce_with(comm, data.clone(), cfg, 55, 2, |comm, d| {
-            let mut out = reduce_by_key(comm, d, &hasher, |a, b| a.wrapping_add(b));
+            let mut out = reduce_by_key(comm, d.iter().copied(), &hasher, |a, b| a.wrapping_add(b));
             attempt += 1;
             if attempt <= faulty_attempts && comm.rank() == 1 {
                 // A "silently failing node": random key corruption.
