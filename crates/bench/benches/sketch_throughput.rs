@@ -26,29 +26,42 @@ fn pair_workload() -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// [`pair_workload`] with full-range keys: every key has eight
+/// significant bytes, the widest the tabulation kernels hash.
+fn wide_pair_workload() -> Vec<(u64, u64)> {
+    let keys = uniform_ints(44, u64::MAX, 0..N);
+    let values = uniform_ints(43, u64::MAX, 0..N);
+    keys.into_iter().zip(values).collect()
+}
+
 fn bench_sketch_update(c: &mut Criterion) {
+    // Narrow keys (Zipf ranks ≤ 10⁶, ints < 10⁸: three or four
+    // significant bytes) as in the paper's workloads, and full-range
+    // keys for the rows the tabulation width matters to.
     let pairs = pair_workload();
+    let wide_pairs = wide_pair_workload();
     let ints = uniform_ints(7, 100_000_000, 0..N);
+    let wide_ints = uniform_ints(8, u64::MAX, 0..N);
 
     let mut group = c.benchmark_group("sketch_update");
     group.throughput(Throughput::Elements(N as u64));
 
     // A Table 3 shape of the paper, then the service's default.
-    for (label, cfg) in [
+    let tab64_sum = SumCheckConfig::new(4, 16, 9, HasherKind::Tab64);
+    for (label, cfg, input) in [
         (
             "sum 4x8 CRC m5",
             SumCheckConfig::new(4, 8, 5, HasherKind::Crc32c),
+            &pairs,
         ),
-        (
-            "sum 4x16 Tab64 m9",
-            SumCheckConfig::new(4, 16, 9, HasherKind::Tab64),
-        ),
+        ("sum 4x16 Tab64 m9", tab64_sum, &pairs),
+        ("sum 4x16 Tab64 m9 wide keys", tab64_sum, &wide_pairs),
     ] {
         let sum = SumChecker::new(cfg, 1);
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
                 let mut sk = sum.sketch();
-                sk.update_iter(std::hint::black_box(&pairs).iter().copied());
+                sk.update_iter(std::hint::black_box(input).iter().copied());
                 std::hint::black_box(sk.finalize())
             })
         });
@@ -65,9 +78,10 @@ fn bench_sketch_update(c: &mut Criterion) {
 
     // One 32-bit hash-sum iteration, then the service's four: two
     // iterations per Tab64 word.
-    for (label, iterations) in [
-        ("perm hash-sum Tab32bit", 1),
-        ("perm hash-sum Tab64 4-iter", 4),
+    for (label, iterations, input) in [
+        ("perm hash-sum Tab32bit", 1, &ints),
+        ("perm hash-sum Tab64 4-iter", 4, &ints),
+        ("perm hash-sum Tab64 4-iter wide keys", 4, &wide_ints),
     ] {
         let mut cfg = PermCheckConfig::hash_sum(HasherKind::Tab64, 32);
         cfg.iterations = iterations;
@@ -75,7 +89,7 @@ fn bench_sketch_update(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
             b.iter(|| {
                 let mut sk = perm.sketch();
-                sk.update_iter(std::hint::black_box(&ints).iter().copied());
+                sk.update_iter(std::hint::black_box(input).iter().copied());
                 std::hint::black_box(sk.finalize())
             })
         });

@@ -37,10 +37,11 @@
 //! every sketch overrides [`Sketch::update_iter`] with a **block fold**:
 //! buffer up to 256 items on the stack, then go *iteration-major* over
 //! the block — one hasher's tables stay in L1 while it hashes the whole
-//! block ([`ccheck_hashing::Hasher::hash_batch`]; consecutive zip
-//! positions via [`ccheck_hashing::Hasher::hash_run`], one table lookup
-//! per key), sums accumulate unreduced, and each iteration's accumulator
-//! is touched once per block.
+//! block ([`ccheck_hashing::Hasher::hash_batch`], tabulation paying one
+//! lookup per significant byte of the block's widest key; consecutive
+//! zip positions via [`ccheck_hashing::Hasher::hash_run`], one table
+//! lookup per key), sums accumulate unreduced, and each iteration's
+//! accumulator is touched once per block.
 //!
 //! The sum, xor and hash-sum permutation sketches draw every iteration
 //! from one [`ccheck_hashing::PartitionedHash`] (§7.1: one hash word,

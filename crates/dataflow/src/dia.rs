@@ -272,7 +272,7 @@ impl Dia<u64> {
         ctx: &mut PipelineCtx<'_>,
         cfg: ZipCheckConfig,
     ) -> Result<Dia<Pair>, CheckRejected> {
-        let out = zip(ctx.comm, self.local.clone(), other.local.clone());
+        let out = zip(ctx.comm, &self.local, &other.local);
         let checker = ZipChecker::new(cfg, ctx.next_seed());
         if checker.check(ctx.comm, &self.local, &other.local, &out) {
             Ok(Dia { local: out })

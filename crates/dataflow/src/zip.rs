@@ -27,11 +27,14 @@ fn owner_of(a_starts: &[u64], global_idx: u64) -> usize {
 
 /// Zip two distributed sequences of equal global length. The output
 /// adopts the distribution of `a`: PE i returns one pair per local
-/// element of `a`.
+/// element of `a`. Both inputs are only read, so a caller that still
+/// needs them (a checker, say) lends them instead of handing over
+/// copies; owned `Vec`s work as well.
 ///
 /// # Panics
 /// Panics (on every PE) if the global lengths differ.
-pub fn zip(comm: &mut Comm, a: Vec<u64>, b: Vec<u64>) -> Vec<Pair> {
+pub fn zip(comm: &mut Comm, a: impl AsRef<[u64]>, b: impl AsRef<[u64]>) -> Vec<Pair> {
+    let (a, b) = (a.as_ref(), b.as_ref());
     let p = comm.size();
     let (a_start, a_total) = comm.exclusive_prefix_sum(a.len() as u64);
     let (b_start, b_total) = comm.exclusive_prefix_sum(b.len() as u64);
@@ -59,7 +62,7 @@ pub fn zip(comm: &mut Comm, a: Vec<u64>, b: Vec<u64>) -> Vec<Pair> {
     }
     assert!(filled.iter().all(|&f| f), "zip alignment left holes");
 
-    a.into_iter().zip(b_aligned).collect()
+    a.iter().copied().zip(b_aligned).collect()
 }
 
 /// Streaming-ingest form of [`zip`]: the second sequence arrives as
@@ -71,15 +74,17 @@ pub fn zip(comm: &mut Comm, a: Vec<u64>, b: Vec<u64>) -> Vec<Pair> {
 ///
 /// `b`'s length must be declared up front because the owner of a `b`
 /// element is determined by its *global* index, which requires the
-/// prefix sum before the stream is consumed.
+/// prefix sum before the stream is consumed. `a` is only read, as in
+/// [`zip`].
 ///
 /// # Panics
 /// Panics if the global lengths differ, or if `b`'s stream yields a
 /// different number of elements than declared.
-pub fn zip_chunked<I>(comm: &mut Comm, a: Vec<u64>, b: (u64, I), chunk: usize) -> Vec<Pair>
+pub fn zip_chunked<I>(comm: &mut Comm, a: impl AsRef<[u64]>, b: (u64, I), chunk: usize) -> Vec<Pair>
 where
     I: IntoIterator<Item = u64>,
 {
+    let a = a.as_ref();
     let (a_start, a_total) = comm.exclusive_prefix_sum(a.len() as u64);
     let (b_start, b_total) = comm.exclusive_prefix_sum(b.0);
     assert_eq!(a_total, b_total, "Zip requires equal global lengths");
@@ -107,7 +112,7 @@ where
     assert_eq!(sent, b.0, "b stream shorter/longer than declared");
     assert!(filled.iter().all(|&f| f), "zip alignment left holes");
 
-    a.into_iter().zip(b_aligned).collect()
+    a.iter().copied().zip(b_aligned).collect()
 }
 
 #[cfg(test)]
@@ -176,7 +181,7 @@ mod tests {
                     let b: Vec<u64> = (0..b_sizes[rank])
                         .map(|i| 1000 + (b_start + i) as u64)
                         .collect();
-                    let slice = zip(comm, a.clone(), b.clone());
+                    let slice = zip(comm, &a, &b);
                     let chunked = zip_chunked(comm, a, (b.len() as u64, b.into_iter()), chunk);
                     (slice, chunked)
                 });

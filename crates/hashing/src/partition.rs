@@ -239,6 +239,7 @@ impl std::fmt::Debug for PartitionedHash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::tests::blocks_of_every_width;
     use crate::traits::HasherKind;
 
     #[test]
@@ -283,7 +284,9 @@ mod tests {
 
     #[test]
     fn hash_block_matches_hash() {
-        // One word, several words, a partly used last word, full width.
+        // One word, several words, a partly used last word, full width;
+        // blocks of every key width.
+        let blocks = blocks_of_every_width();
         for (kind, instances, bits) in [
             (HasherKind::Tab64, 16, 4),
             (HasherKind::Tab64, 16, 10),
@@ -292,20 +295,25 @@ mod tests {
             (HasherKind::Tab64, 3, 64),
         ] {
             let p = PartitionedHash::new(kind, 17, instances, bits);
-            let keys: Vec<u64> = (0..300u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-            let mut words = vec![0u64; keys.len() + 5];
-            let mut seen = vec![0usize; instances];
-            p.hash_block(&keys, &mut words, |range, words| {
-                assert_eq!(words.len(), keys.len());
-                for (k, i) in range.enumerate() {
-                    seen[i] += 1;
-                    for (&key, &word) in keys.iter().zip(words) {
-                        assert_eq!(p.slot(word, k), p.hash(i, key), "{kind:?} i={i}");
-                    }
-                }
-            });
-            assert!(seen.iter().all(|&n| n == 1), "{kind:?}: {seen:?}");
+            for keys in &blocks {
+                assert_block_matches_hash(&p, keys);
+            }
         }
+    }
+
+    fn assert_block_matches_hash(p: &PartitionedHash, keys: &[u64]) {
+        let mut words = vec![0u64; keys.len() + 5];
+        let mut seen = vec![0usize; p.instances()];
+        p.hash_block(keys, &mut words, |range, words| {
+            assert_eq!(words.len(), keys.len());
+            for (k, i) in range.enumerate() {
+                seen[i] += 1;
+                for (&key, &word) in keys.iter().zip(words) {
+                    assert_eq!(p.slot(word, k), p.hash(i, key), "{p:?} i={i} key={key:#x}");
+                }
+            }
+        });
+        assert!(seen.iter().all(|&n| n == 1), "{p:?}: {seen:?}");
     }
 
     #[test]

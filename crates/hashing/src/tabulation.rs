@@ -12,15 +12,105 @@
 //! * [`Tab64`] — 64-bit keys → 64-bit hashes (8 tables × 256 × u64); the
 //!   paper's "Tab64" configuration.
 //!
-//! Both offer `hash_run` for **consecutive** keys (the zip checker's
-//! global positions): neighbours differ only in their low byte until it
-//! carries, so the XOR of the upper seven tables is computed once per
-//! 256-aligned stretch and each key costs one lookup in table 0 instead
-//! of eight.
+//! Both offer two block forms, bit-identical to `hash` per key:
+//!
+//! * `hash_batch` pays one lookup per **significant byte** of the
+//!   block's widest key. A key of width `w` (bytes `w..8` zero) indexes
+//!   entry 0 of tables `w..8`, whatever its low bytes are, so
+//!   `hash(x) = T₀[x₀] ⊕ … ⊕ T_{w−1}[x_{w−1}] ⊕ Z[w]` with `Z[w] =
+//!   T_w[0] ⊕ … ⊕ T₇[0]`. The nine words `Z[0..=8]` are built with the
+//!   tables; one OR over the block gives `w` (cut short at the first
+//!   key with a top byte), and each key then costs `w` lookups instead
+//!   of eight (keys below 2²⁴ cost three). The identity holds for every
+//!   key of the block, so the output is `hash(x)` bit for bit, however
+//!   the widths inside the block mix.
+//! * `hash_run` hashes **consecutive** keys (the zip checker's global
+//!   positions): neighbours differ only in their low byte until it
+//!   carries, so the XOR of the upper seven tables is computed once per
+//!   256-aligned stretch and each key costs one lookup in table 0
+//!   instead of eight.
 
 use rand::rand_core::Rng as RngCore;
 
 use crate::mt19937::Mt19937_64;
+
+/// Random tables plus `zeros[w]`, the XOR of entry 0 of tables `w..8`:
+/// the constant part of the hash of any key of at most `w` bytes.
+fn tables_from<W, R: RngCore>(
+    rng: &mut R,
+    mut next: impl FnMut(&mut R) -> W,
+) -> (Box<[[W; 256]; 8]>, [W; 9])
+where
+    W: Copy + Default + std::ops::BitXor<Output = W>,
+{
+    let mut tables = Box::new([[W::default(); 256]; 8]);
+    for table in tables.iter_mut() {
+        for entry in table.iter_mut() {
+            *entry = next(rng);
+        }
+    }
+    let mut zeros = [W::default(); 9];
+    for w in (0..8).rev() {
+        zeros[w] = zeros[w + 1] ^ tables[w][0];
+    }
+    (tables, zeros)
+}
+
+/// The significant bytes of the widest key of `keys`, 0 ..= 8: the OR of
+/// the keys, cut short once it reaches the top byte, so a block of
+/// full-range keys pays for one short stretch instead of a pass.
+fn width(keys: &[u64]) -> usize {
+    let mut widest = 0u64;
+    for stretch in keys.chunks(16) {
+        widest |= stretch.iter().fold(0, |acc, &key| acc | key);
+        if widest >> 56 != 0 {
+            return 8;
+        }
+    }
+    (u64::BITS - widest.leading_zeros()).div_ceil(8) as usize
+}
+
+/// `out[i] = hash(keys[i])` with one lookup per significant byte of the
+/// block's widest key (see the module docs). The width is resolved once
+/// per block, so each width's loop is unrolled to its fixed byte count.
+fn hash_batch<W>(tables: &[[W; 256]; 8], zeros: &[W; 9], keys: &[u64], out: &mut [u64])
+where
+    W: Copy + std::ops::BitXor<Output = W> + Into<u64>,
+{
+    let width = width(keys);
+    let zero = zeros[width];
+    match width {
+        0 => hash_narrow::<W, 0>(tables, zero, keys, out),
+        1 => hash_narrow::<W, 1>(tables, zero, keys, out),
+        2 => hash_narrow::<W, 2>(tables, zero, keys, out),
+        3 => hash_narrow::<W, 3>(tables, zero, keys, out),
+        4 => hash_narrow::<W, 4>(tables, zero, keys, out),
+        5 => hash_narrow::<W, 5>(tables, zero, keys, out),
+        6 => hash_narrow::<W, 6>(tables, zero, keys, out),
+        7 => hash_narrow::<W, 7>(tables, zero, keys, out),
+        _ => hash_narrow::<W, 8>(tables, zero, keys, out),
+    }
+}
+
+/// [`hash_batch`] for keys of at most `BYTES` significant bytes.
+#[inline(always)]
+fn hash_narrow<W, const BYTES: usize>(
+    tables: &[[W; 256]; 8],
+    zero: W,
+    keys: &[u64],
+    out: &mut [u64],
+) where
+    W: Copy + std::ops::BitXor<Output = W> + Into<u64>,
+{
+    for (slot, &key) in out.iter_mut().zip(keys) {
+        let b = key.to_le_bytes();
+        let mut hash = zero;
+        for (table, &byte) in tables.iter().zip(&b).take(BYTES) {
+            hash = hash ^ table[byte as usize];
+        }
+        *slot = hash.into();
+    }
+}
 
 /// Hash the consecutive keys `start, start + 1, …` (wrapping) into `out`
 /// — the table-0 trick shared by both widths. Bit-identical to hashing
@@ -53,6 +143,8 @@ where
 #[derive(Clone)]
 pub struct Tab32 {
     tables: Box<[[u32; 256]; 8]>,
+    /// `zeros[w]`: XOR of entry 0 of tables `w..8`.
+    zeros: [u32; 9],
 }
 
 impl Tab32 {
@@ -64,13 +156,8 @@ impl Tab32 {
 
     /// Fill the tables from an arbitrary RNG.
     pub fn from_rng<R: RngCore>(rng: &mut R) -> Self {
-        let mut tables = Box::new([[0u32; 256]; 8]);
-        for table in tables.iter_mut() {
-            for entry in table.iter_mut() {
-                *entry = rng.next_u32();
-            }
-        }
-        Self { tables }
+        let (tables, zeros) = tables_from(rng, R::next_u32);
+        Self { tables, zeros }
     }
 
     /// Hash a 64-bit key to 32 bits.
@@ -87,6 +174,12 @@ impl Tab32 {
             ^ self.tables[7][b[7] as usize]
     }
 
+    /// `out[i] = hash(keys[i])`, zero-extended: one lookup per
+    /// significant byte of the block's widest key.
+    pub fn hash_batch(&self, keys: &[u64], out: &mut [u64]) {
+        hash_batch(&self.tables, &self.zeros, keys, out);
+    }
+
     /// Hash the consecutive keys `start, start + 1, …` (wrapping) into
     /// `out`, zero-extended: one table lookup per key.
     pub fn hash_run(&self, start: u64, out: &mut [u64]) {
@@ -98,6 +191,8 @@ impl Tab32 {
 #[derive(Clone)]
 pub struct Tab64 {
     tables: Box<[[u64; 256]; 8]>,
+    /// `zeros[w]`: XOR of entry 0 of tables `w..8`.
+    zeros: [u64; 9],
 }
 
 impl Tab64 {
@@ -108,13 +203,8 @@ impl Tab64 {
 
     /// Fill the tables from an arbitrary RNG.
     pub fn from_rng<R: RngCore>(rng: &mut R) -> Self {
-        let mut tables = Box::new([[0u64; 256]; 8]);
-        for table in tables.iter_mut() {
-            for entry in table.iter_mut() {
-                *entry = rng.next_u64();
-            }
-        }
-        Self { tables }
+        let (tables, zeros) = tables_from(rng, R::next_u64);
+        Self { tables, zeros }
     }
 
     /// Hash a 64-bit key to 64 bits.
@@ -129,6 +219,12 @@ impl Tab64 {
             ^ self.tables[5][b[5] as usize]
             ^ self.tables[6][b[6] as usize]
             ^ self.tables[7][b[7] as usize]
+    }
+
+    /// `out[i] = hash(keys[i])`: one lookup per significant byte of the
+    /// block's widest key.
+    pub fn hash_batch(&self, keys: &[u64], out: &mut [u64]) {
+        hash_batch(&self.tables, &self.zeros, keys, out);
     }
 
     /// Hash the consecutive keys `start, start + 1, …` (wrapping) into

@@ -100,16 +100,22 @@ impl Hasher {
     }
 
     /// Hash every key of a block: `out[i] = hash(keys[i])`, with the
-    /// kind dispatched once for the whole block.
+    /// kind dispatched once for the whole block. Tabulation pays one
+    /// lookup per significant byte of the block's widest key instead of
+    /// eight (see [`crate::tabulation`]); CRC hashes each key as usual.
     ///
     /// # Panics
     /// Panics if the two slices differ in length.
     pub fn hash_batch(&self, keys: &[u64], out: &mut [u64]) {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
         match self {
-            Hasher::Crc32c(h) => fill(keys, out, |x| u64::from(h.hash(x))),
-            Hasher::Tab32(h) => fill(keys, out, |x| u64::from(h.hash(x))),
-            Hasher::Tab64(h) => fill(keys, out, |x| h.hash(x)),
+            Hasher::Crc32c(h) => {
+                for (slot, &key) in out.iter_mut().zip(keys) {
+                    *slot = u64::from(h.hash(key));
+                }
+            }
+            Hasher::Tab32(h) => h.hash_batch(keys, out),
+            Hasher::Tab64(h) => h.hash_batch(keys, out),
         }
     }
 
@@ -130,14 +136,6 @@ impl Hasher {
     }
 }
 
-/// `out[i] = hash(keys[i])` for one concrete hash function.
-#[inline(always)]
-fn fill(keys: &[u64], out: &mut [u64], hash: impl Fn(u64) -> u64) {
-    for (slot, &key) in out.iter_mut().zip(keys) {
-        *slot = hash(key);
-    }
-}
-
 impl std::fmt::Debug for Hasher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Hasher::{}", self.kind().label())
@@ -145,7 +143,7 @@ impl std::fmt::Debug for Hasher {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -157,6 +155,53 @@ mod tests {
         for (i, &got) in run.iter().enumerate() {
             let key = start.wrapping_add(i as u64);
             assert_eq!(got, h.hash(key), "{h:?} start={start:#x} key={key:#x}");
+        }
+    }
+
+    fn assert_batch_matches_hash(h: &Hasher, keys: &[u64]) {
+        let mut out = vec![0u64; keys.len()];
+        h.hash_batch(keys, &mut out);
+        for (&key, &got) in keys.iter().zip(&out) {
+            assert_eq!(got, h.hash(key), "{h:?} key={key:#x}");
+        }
+    }
+
+    /// The keys of at most `width` significant bytes.
+    fn width_mask(width: u32) -> u64 {
+        u64::MAX.checked_shr(64 - 8 * width).unwrap_or(0)
+    }
+
+    /// Blocks of `len` keys around the block size, for every key width
+    /// 0..=8 (width 0 is the all-zero block): each narrow block, then
+    /// the same block with one key a byte wider, or full range, placed
+    /// first, in the middle and last.
+    pub(crate) fn blocks_of_every_width() -> Vec<Vec<u64>> {
+        let mut blocks = Vec::new();
+        for len in [0usize, 1, 255, 256, 257] {
+            for width in 0..=8 {
+                let narrow: Vec<u64> = (0..len as u64)
+                    .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) & width_mask(width))
+                    .collect();
+                for at in [0, len / 2, len.saturating_sub(1)].into_iter().take(len) {
+                    for wide in [width_mask((width + 1).min(8)), u64::MAX - at as u64] {
+                        let mut mixed = narrow.clone();
+                        mixed[at] = wide;
+                        blocks.push(mixed);
+                    }
+                }
+                blocks.push(narrow);
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn hash_batch_matches_hash_at_every_key_width() {
+        for kind in KINDS {
+            let h = Hasher::new(kind, 0xBEEF);
+            for keys in blocks_of_every_width() {
+                assert_batch_matches_hash(&h, &keys);
+            }
         }
     }
 
@@ -189,8 +234,17 @@ mod tests {
         #[test]
         fn prop_hash_batch_matches_hash(
             seed: u64,
+            width in 0u32..=8,
             keys in prop::collection::vec(any::<u64>(), 0..600),
+            wide: Option<(usize, u64)>,
         ) {
+            // Keys cut to `width` bytes, so every kernel width is drawn;
+            // optionally one key left at full range.
+            let mut keys: Vec<u64> = keys.iter().map(|&k| k & width_mask(width)).collect();
+            if let Some((at, key)) = wide.filter(|_| !keys.is_empty()) {
+                let at = at % keys.len();
+                keys[at] = key;
+            }
             for kind in KINDS {
                 let h = Hasher::new(kind, seed);
                 let mut out = vec![0u64; keys.len()];

@@ -34,7 +34,8 @@ use ccheck_workloads::{local_range, uniform_ints_iter, zipf_valued_pairs_iter};
 use crate::job::{FaultSpec, JobOp, JobSpec, Receipt, ReceiptComm, ReceiptTiming, Verdict};
 
 /// Microsecond accumulators for one job's phases. `generate` covers
-/// eager input materialization (chunked reduce and sort generate lazily
+/// eager input materialization, one-shot zip's `b` included: the op
+/// borrows it and the checker reads it (chunked jobs generate lazily
 /// inside the operation, so their generate share rides in `execute`);
 /// `execute` is the data operation itself (including injected faults
 /// and any checker-driven retries); `check` is checker time, including
@@ -561,10 +562,21 @@ fn zip_job(
         uniform_ints_iter(spec.seed ^ 0xA11CE, u64::MAX, range.clone()).collect()
     });
     let b_iter = uniform_ints_iter(spec.seed ^ 0xB0B, u64::MAX, range);
-    let mut out = timed(&mut ph.execute_us, || match chunk {
-        None => zip(comm, a.clone(), b_iter.clone().collect()),
-        Some(chunk) => zip_chunked(comm, a.clone(), (a.len() as u64, b_iter.clone()), chunk),
-    });
+    // One-shot: `b` is generated once, like `a`; the op borrows it and
+    // the checker reads it. Chunked: the op streams `b` and the checker
+    // regenerates the stream, since holding a copy would defeat streaming.
+    let (mut out, b) = match chunk {
+        None => {
+            let b: Vec<u64> = timed(&mut ph.generate_us, || b_iter.clone().collect());
+            let out = timed(&mut ph.execute_us, || zip(comm, &a, &b));
+            (out, Some(b))
+        }
+        Some(chunk) => {
+            let b = (a.len() as u64, b_iter.clone());
+            let out = timed(&mut ph.execute_us, || zip_chunked(comm, &a, b, chunk));
+            (out, None)
+        }
+    };
     if let Some(f) = &spec.fault {
         if let Some(manip) = zip_manipulator(&f.kind) {
             if comm.rank() == 0 {
@@ -579,13 +591,14 @@ fn zip_job(
         },
         check_seed(spec),
     );
-    let ok = timed(&mut ph.check_us, || {
-        checker.check_stream(
+    let ok = timed(&mut ph.check_us, || match &b {
+        Some(b) => checker.check(comm, &a, b, &out),
+        None => checker.check_stream(
             comm,
             (a.len() as u64, a.iter().copied()),
             (a.len() as u64, b_iter),
             (out.len() as u64, out.iter().copied()),
-        )
+        ),
     });
     let verdict = if ok {
         Verdict::Verified

@@ -67,7 +67,7 @@ fn main() {
         // --- zip two derived columns (§6.4) ---------------------------
         let amounts: Vec<u64> = sales.iter().map(|&(_, v)| v).collect();
         let discounted: Vec<u64> = sales.iter().map(|&(_, v)| v / 2).collect();
-        let zipped = zip(comm, amounts.clone(), discounted.clone());
+        let zipped = zip(comm, &amounts, &discounted);
         let zc = ZipChecker::new(ZipCheckConfig::default(), 103);
         report.push(("zip".into(), zc.check(comm, &amounts, &discounted, &zipped)));
 

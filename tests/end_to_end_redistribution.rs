@@ -95,7 +95,7 @@ fn real_zip_verified_and_corruption_caught() {
                 start..end
             };
             let b = uniform_ints(5, 1 << 30, b_range);
-            let zipped = zip(comm, a.clone(), b.clone());
+            let zipped = zip(comm, &a, &b);
             let checker = ZipChecker::new(ZipCheckConfig::default(), 6);
             let ok = checker.check(comm, &a, &b, &zipped);
 
@@ -117,7 +117,7 @@ fn zip_checker_detects_reordered_output() {
         let n = 1_000usize;
         let a = uniform_ints(4, 1 << 30, local_range(n, comm.rank(), 2));
         let b = uniform_ints(5, 1 << 30, local_range(n, comm.rank(), 2));
-        let mut zipped = zip(comm, a.clone(), b.clone());
+        let mut zipped = zip(comm, &a, &b);
         // Swap two adjacent pairs on PE 1: multisets intact, order broken.
         if comm.rank() == 1 && zipped.len() > 2 {
             zipped.swap(0, 1);

@@ -16,7 +16,10 @@
 //! three seeds × lengths around the 256-item block size × zip start
 //! offsets whose position runs cross a byte carry inside the stream
 //! (250: `…FF → …100`; `0xFFF0`: two bytes; `0xFFFF_FFF0`: four), plus
-//! the two polynomial permutation methods (no hasher).
+//! the two polynomial permutation methods (no hasher). Narrow-key lines
+//! pin sum and perm over keys of 1, 3, 4 and 7 significant bytes and
+//! over a stream mixing narrow and full-range keys, since the hash
+//! kernels pick their work by key width.
 //!
 //! One fixture line per `(sketch, hasher, iterations, seed)`; one column
 //! per length holding the first 8 bytes of the SHA-256 of the canonical
@@ -67,6 +70,41 @@ fn pairs(seed: u64, len: usize) -> Vec<(u64, u64)> {
 /// Full-range single items (values above 2⁶¹ − 1 included).
 fn items(seed: u64, len: usize) -> Vec<u64> {
     pairs(seed, len).into_iter().map(|(_, v)| v).collect()
+}
+
+/// Keep the low `width` bytes of `x`: a key of at most `width`
+/// significant bytes.
+fn narrow(x: u64, width: u32) -> u64 {
+    if width >= 8 {
+        x
+    } else {
+        x & ((1u64 << (8 * width)) - 1)
+    }
+}
+
+/// The key width, in bytes, of item `i` drawn from the random word `r`.
+type KeyWidth = fn(u64, u64) -> u32;
+
+/// Key width of item `i` of the mixed-width stream: runs of 100 one- to
+/// four-byte keys, with a full-range key wherever 397 divides `r`, so some
+/// blocks are narrow throughout and some hold a single wide key.
+fn mixed_width(i: u64, r: u64) -> u32 {
+    if r.is_multiple_of(397) {
+        8
+    } else {
+        1 + (i / 100 % 4) as u32
+    }
+}
+
+/// Pairs whose key is cut to `width(i, r)` bytes, `r` being item `i`'s
+/// random word (and its full-range value).
+fn narrow_pairs(seed: u64, len: usize, width: KeyWidth) -> Vec<(u64, u64)> {
+    (0..len as u64)
+        .map(|i| {
+            let r = splitmix64(seed ^ i.wrapping_mul(0xD6E8_FEB8_6659_FD93));
+            (narrow(splitmix64(r), width(i, r)), r)
+        })
+        .collect()
 }
 
 /// First 8 bytes (hex) of the SHA-256 of a digest's canonical encoding.
@@ -184,6 +222,38 @@ fn compute_fixture() -> String {
                     &format!("perm {label} its={its} seed={seed:#x}"),
                     |len| encode_perm(digest(perm.sketch(), &items(seed, len))),
                 );
+            }
+        }
+    }
+    // Narrow keys: the block kernels hash only a key's significant
+    // bytes, so each width (and blocks mixing narrow keys with a wide
+    // one) gets its own lines. Sum hashes the keys, perm the items.
+    let widths: [(&str, KeyWidth); 5] = [
+        ("w=1", |_, _| 1),
+        ("w=3", |_, _| 3),
+        ("w=4", |_, _| 4),
+        ("w=7", |_, _| 7),
+        ("w=mixed", mixed_width),
+    ];
+    let seed = SEEDS[1];
+    for kind in KINDS {
+        for its in [1, 4] {
+            let tag = format!("{} its={its} seed={seed:#x}", kind.label());
+            let sum = SumChecker::new(SumCheckConfig::new(its, 16, 9, kind), seed);
+            let mut cfg = PermCheckConfig::hash_sum(kind, 32);
+            cfg.iterations = its;
+            let perm = PermChecker::new(cfg, seed);
+            for (label, width) in widths {
+                line(&mut out, &format!("sum {label} {tag}"), |len| {
+                    le64(digest(sum.sketch(), &narrow_pairs(seed, len, width)))
+                });
+                line(&mut out, &format!("perm {label} {tag}"), |len| {
+                    let keys: Vec<u64> = narrow_pairs(seed, len, width)
+                        .into_iter()
+                        .map(|(k, _)| k)
+                        .collect();
+                    encode_perm(digest(perm.sketch(), &keys))
+                });
             }
         }
     }
