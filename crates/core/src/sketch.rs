@@ -331,6 +331,18 @@ where
         self.next += 1;
         Some(item)
     }
+
+    /// The inner stream's hint plus the items of the current block not
+    /// yet yielded, so a consumer sizes its buffers as it would for the
+    /// bare stream.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let held = self.filled - self.next;
+        let (lo, hi) = self.inner.size_hint();
+        (
+            lo.saturating_add(held),
+            hi.and_then(|hi| hi.checked_add(held)),
+        )
+    }
 }
 
 /// Fold `items` through a fresh sketch per `chunk`-sized batch, merging
@@ -463,6 +475,17 @@ mod tests {
                     (0..n as u64).collect::<Vec<_>>(),
                     "n={n} stop={stop}: finish must deliver the rest, once"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn tee_size_hint_counts_what_is_left() {
+        for n in TEE_LENGTHS {
+            let mut tee = Tee::new(0..n as u64, |_: &[u64]| {});
+            for left in (0..=n).rev() {
+                assert_eq!(tee.size_hint(), (left, Some(left)), "n={n}");
+                assert_eq!(tee.next().is_some(), left > 0, "n={n}");
             }
         }
     }

@@ -13,11 +13,11 @@
 //! back to a simple, slow, gather-everything reference implementation on
 //! PE 0 (deterministic, easy to audit — the "simpler but slower method").
 //!
+//! All of them are [`checked_with`], the one retry-then-fallback loop.
 //! The operation *borrows* its input (`&[T]`): every attempt, the
 //! checker and the fallback read the caller's original data, and nothing
-//! is copied on the checker's behalf. An operation that needs a working
-//! copy — a sort permutes its input — makes it itself, inside its own
-//! time.
+//! is copied on the checker's behalf. A sort makes its working copy
+//! itself, inside its own time.
 
 use std::collections::HashMap;
 
@@ -26,6 +26,7 @@ use ccheck::permutation::PermChecker;
 use ccheck::sort::check_sorted;
 use ccheck::SumChecker;
 use ccheck_hashing::Hasher;
+use ccheck_net::wire::Wire;
 use ccheck_net::Comm;
 
 use crate::reduce::reduce_by_key;
@@ -46,6 +47,30 @@ pub enum CheckedOutcome {
     FellBack,
 }
 
+/// The retry-then-fallback loop of every checked operation. Attempt
+/// `attempt(comm, data, i)`, for `i` in `0..=max_retries`, runs the
+/// operation and its check and returns the output with the (SPMD-wide)
+/// verdict. The first verified output wins; if none verifies,
+/// `fallback(comm, data)` recomputes the result the slow, auditable way.
+pub fn checked_with<T, O>(
+    comm: &mut Comm,
+    data: Vec<T>,
+    max_retries: usize,
+    fallback: impl FnOnce(&mut Comm, Vec<T>) -> O,
+    mut attempt: impl FnMut(&mut Comm, &[T], usize) -> (O, bool),
+) -> (O, CheckedOutcome) {
+    for i in 0..=max_retries {
+        if let (output, true) = attempt(comm, &data, i) {
+            let outcome = match i {
+                0 => CheckedOutcome::FastPath,
+                retries => CheckedOutcome::Retried { retries },
+            };
+            return (output, outcome);
+        }
+    }
+    (fallback(comm, data), CheckedOutcome::FellBack)
+}
+
 /// Self-checking sum aggregation: `reduce_by_key` + [`SumChecker`], with
 /// retry and gather-based fallback. Returns this PE's shard and how the
 /// result was obtained. All PEs observe the same outcome.
@@ -64,7 +89,8 @@ pub fn checked_reduce_by_key(
 
 /// Generic form of [`checked_reduce_by_key`] taking the (possibly
 /// faulty) sum-aggregation implementation as a closure — the hook that
-/// lets tests and chaos experiments inject failing operations.
+/// lets tests and chaos experiments inject failing operations. Attempt
+/// `i` is checked with seed `seed + i`.
 pub fn checked_reduce_with<F>(
     comm: &mut Comm,
     data: Vec<Pair>,
@@ -76,44 +102,12 @@ pub fn checked_reduce_with<F>(
 where
     F: FnMut(&mut Comm, &[Pair]) -> Vec<Pair>,
 {
-    for attempt in 0..=max_retries {
-        let output = operation(comm, &data);
-        let checker = SumChecker::new(cfg, seed.wrapping_add(attempt as u64));
-        if checker.check_distributed(comm, &data, &output) {
-            let outcome = if attempt == 0 {
-                CheckedOutcome::FastPath
-            } else {
-                CheckedOutcome::Retried { retries: attempt }
-            };
-            return (output, outcome);
-        }
-    }
-    // Fallback: gather everything to PE 0, aggregate sequentially with
-    // the trivially-auditable reference, broadcast shards back.
-    let gathered = comm.gather(0, data);
-    let reference: Vec<Vec<Pair>> = if let Some(parts) = gathered {
-        let mut table: HashMap<u64, u64> = HashMap::new();
-        for (k, v) in parts.into_iter().flatten() {
-            *table.entry(k).or_insert(0) = table.get(&k).copied().unwrap_or(0).wrapping_add(v);
-        }
-        let mut all: Vec<Pair> = table.into_iter().collect();
-        all.sort_unstable();
-        // Round-robin shards so the distribution resembles the fast path.
-        let p = comm.size();
-        let mut shards = vec![Vec::new(); p];
-        for (i, pair) in all.into_iter().enumerate() {
-            shards[i % p].push(pair);
-        }
-        shards
-    } else {
-        Vec::new()
-    };
-    let my_shard = comm
-        .broadcast(0, reference)
-        .into_iter()
-        .nth(comm.rank())
-        .unwrap_or_default();
-    (my_shard, CheckedOutcome::FellBack)
+    checked_with(comm, data, max_retries, reference_reduce, |comm, d, i| {
+        let output = operation(comm, d);
+        let checker = SumChecker::new(cfg, seed.wrapping_add(i as u64));
+        let verified = checker.check_distributed(comm, d, &output);
+        (output, verified)
+    })
 }
 
 /// Self-checking sort: sample sort + sort checker, with retry and a
@@ -130,8 +124,8 @@ pub fn checked_sort(
 }
 
 /// Generic form of [`checked_sort`] taking the (possibly faulty) sort
-/// implementation as a closure — the hook for tests, chaos experiments,
-/// and the `ccheck-service` fault-injected jobs.
+/// implementation as a closure — the hook for tests and chaos
+/// experiments. Every attempt is checked with `perm`.
 pub fn checked_sort_with<F>(
     comm: &mut Comm,
     data: Vec<u64>,
@@ -142,35 +136,60 @@ pub fn checked_sort_with<F>(
 where
     F: FnMut(&mut Comm, &[u64]) -> Vec<u64>,
 {
-    for attempt in 0..=max_retries {
-        let output = operation(comm, &data);
-        if check_sorted(comm, &data, &output, perm) {
-            let outcome = if attempt == 0 {
-                CheckedOutcome::FastPath
-            } else {
-                CheckedOutcome::Retried { retries: attempt }
-            };
-            return (output, outcome);
+    checked_with(comm, data, max_retries, reference_sort, |comm, data, _| {
+        let output = operation(comm, data);
+        let verified = check_sorted(comm, data, &output, perm);
+        (output, verified)
+    })
+}
+
+/// The fallbacks' shape: gather everything to PE 0, let `reference`
+/// compute the result there as `p` shards, and broadcast each PE its own.
+fn on_pe0<T: Wire, O: Wire + Clone>(
+    comm: &mut Comm,
+    data: Vec<T>,
+    reference: impl FnOnce(Vec<T>, usize) -> Vec<Vec<O>>,
+) -> Vec<O> {
+    let p = comm.size();
+    let shards = comm.gather(0, data).map_or_else(Vec::new, |parts| {
+        reference(parts.into_iter().flatten().collect(), p)
+    });
+    let mine = comm.broadcast(0, shards).into_iter().nth(comm.rank());
+    mine.unwrap_or_default()
+}
+
+/// The fallback of a checked sum aggregation: a sequential hash-table
+/// aggregation on PE 0, dealt out round-robin so the distribution
+/// resembles the fast path.
+pub fn reference_reduce(comm: &mut Comm, data: Vec<Pair>) -> Vec<Pair> {
+    on_pe0(comm, data, |all, p| {
+        let mut table: HashMap<u64, u64> = HashMap::new();
+        for (k, v) in all {
+            let acc = table.entry(k).or_insert(0);
+            *acc = acc.wrapping_add(v);
         }
-    }
-    let gathered = comm.gather(0, data);
-    let shards: Vec<Vec<u64>> = if let Some(parts) = gathered {
-        let mut all: Vec<u64> = parts.into_iter().flatten().collect();
+        let mut all: Vec<Pair> = table.into_iter().collect();
         all.sort_unstable();
-        let p = comm.size();
-        let chunk = all.len().div_ceil(p.max(1));
-        let mut shards: Vec<Vec<u64>> = all.chunks(chunk.max(1)).map(<[u64]>::to_vec).collect();
+        let mut shards = vec![Vec::new(); p];
+        for (i, pair) in all.into_iter().enumerate() {
+            shards[i % p].push(pair);
+        }
+        shards
+    })
+}
+
+/// The fallback of a checked sort: a sequential sort on PE 0, dealt out
+/// in equal contiguous shards.
+pub fn reference_sort(comm: &mut Comm, data: Vec<u64>) -> Vec<u64> {
+    on_pe0(comm, data, |mut all, p| {
+        all.sort_unstable();
+        let mut shards: Vec<Vec<u64>> = all
+            .chunks(all.len().div_ceil(p).max(1))
+            .map(<[u64]>::to_vec)
+            .collect();
         shards.resize(p, Vec::new());
         shards
-    } else {
-        Vec::new()
-    };
-    let my_shard = comm
-        .broadcast(0, shards)
-        .into_iter()
-        .nth(comm.rank())
-        .unwrap_or_default();
-    (my_shard, CheckedOutcome::FellBack)
+    })
 }
 
 #[cfg(test)]

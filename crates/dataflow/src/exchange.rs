@@ -13,34 +13,32 @@ pub fn key_to_pe(hasher: &Hasher, key: u64, p: usize) -> usize {
     (hasher.hash(key) % p as u64) as usize
 }
 
-/// Route every pair to the PE owning its key (`h(key) mod p`).
-///
-/// Returns this PE's received pairs, in sender-rank order with each
-/// sender's pairs in their original local order (a stable redistribution;
-/// the GroupBy checker relies on nothing more than the multiset).
-pub fn redistribute_by_key_hash(comm: &mut Comm, data: Vec<Pair>, hasher: &Hasher) -> Vec<Pair> {
-    let p = comm.size();
-    let mut outgoing: Vec<Vec<Pair>> = vec![Vec::new(); p];
-    for pair in data {
-        outgoing[key_to_pe(hasher, pair.0, p)].push(pair);
-    }
-    comm.all_to_all(outgoing).into_iter().flatten().collect()
+/// Route every pair to the PE owning its key (`h(key) mod p`):
+/// [`redistribute_by_key_hash_chunked`] at `chunk = usize::MAX`, one
+/// message per peer. Returns this PE's received pairs in sender-rank
+/// order, each sender's pairs in their original local order (a stable
+/// redistribution; the GroupBy checker relies on nothing more than the
+/// multiset).
+pub fn redistribute_by_key_hash(
+    comm: &mut Comm,
+    data: impl IntoIterator<Item = Pair>,
+    hasher: &Hasher,
+) -> Vec<Pair> {
+    let mut by_src: Vec<Vec<Pair>> = vec![Vec::new(); comm.size()];
+    redistribute_by_key_hash_chunked(comm, data, hasher, usize::MAX, |src, batch| {
+        by_src[src].extend(batch)
+    });
+    by_src.concat()
 }
 
-/// Streaming form of [`redistribute_by_key_hash`]: consumes the local
-/// pairs from an iterator and ships them in `chunk`-sized batches per
-/// destination ([`Comm::all_to_all_chunked`]), so sender-side memory is
-/// O(chunk · p) instead of O(n/p). The received pairs are folded into
-/// `on_recv` chunk by chunk — pass a collector to materialize them, or
-/// a table/sketch fold to retain less than the raw stream. Received
-/// volume itself is unchanged from the slice path (up to O(n/p) of
-/// transport queueing for raw data; see [`Comm::all_to_all_chunked`]) —
-/// pre-reduce before exchanging, as [`crate::reduce_by_key_chunked`]
-/// does, when the end-to-end footprint must stay small.
-///
-/// The multiset delivered to each PE is identical to the slice-based
-/// path; arrival interleaving between sources is unspecified (per-source
-/// order is preserved).
+/// Route every pair to its key's owner in `chunk`-sized batches per
+/// destination ([`Comm::all_to_all_chunked`]): sender-side memory is
+/// O(chunk · p). Received batches go to `on_recv(src, batch)`, in order
+/// per source (interleaving between sources is unspecified), to be
+/// collected or folded into a table or sketch. The received volume is
+/// the raw stream's, so pre-reduce first, as
+/// [`crate::reduce_by_key_chunked`] does, when the footprint must stay
+/// small. `chunk` must be equal on every PE.
 pub fn redistribute_by_key_hash_chunked<I, F>(
     comm: &mut Comm,
     data: I,
@@ -53,24 +51,6 @@ pub fn redistribute_by_key_hash_chunked<I, F>(
 {
     let p = comm.size();
     comm.all_to_all_chunked(data, chunk, |pair| key_to_pe(hasher, pair.0, p), on_recv);
-}
-
-/// Convenience wrapper collecting the chunked redistribution into a
-/// `Vec` (receiver memory is then O(received), as with the slice path).
-pub fn redistribute_by_key_hash_chunked_collect<I>(
-    comm: &mut Comm,
-    data: I,
-    hasher: &Hasher,
-    chunk: usize,
-) -> Vec<Pair>
-where
-    I: IntoIterator<Item = Pair>,
-{
-    let mut received = Vec::new();
-    redistribute_by_key_hash_chunked(comm, data, hasher, chunk, |_, batch| {
-        received.extend(batch);
-    });
-    received
 }
 
 #[cfg(test)]
@@ -143,8 +123,10 @@ mod tests {
                         (0..120).map(|i| (i * 11 % 31, rank * 120 + i)).collect();
                     let hasher = test_hasher();
                     let mut slice = redistribute_by_key_hash(comm, local.clone(), &hasher);
-                    let mut chunked =
-                        redistribute_by_key_hash_chunked_collect(comm, local, &hasher, chunk);
+                    let mut chunked = Vec::new();
+                    redistribute_by_key_hash_chunked(comm, local, &hasher, chunk, |_, batch| {
+                        chunked.extend(batch)
+                    });
                     slice.sort_unstable();
                     chunked.sort_unstable();
                     (slice, chunked)
@@ -152,6 +134,25 @@ mod tests {
                 for (slice, chunked) in results {
                     assert_eq!(slice, chunked, "p={p} chunk={chunk}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn received_pairs_come_in_sender_rank_order() {
+        // Values encode (sender, position), so a stable redistribution
+        // delivers ascending values to every receiver.
+        for p in [1, 2, 3, 5] {
+            let results = run(p, move |comm| {
+                let rank = comm.rank() as u64;
+                let local: Vec<Pair> = (0..40).map(|i| (i % 9, rank * 1000 + i)).collect();
+                redistribute_by_key_hash(comm, local, &test_hasher())
+            });
+            for received in results {
+                assert!(
+                    received.windows(2).all(|w| w[0].1 < w[1].1),
+                    "p={p}: not in sender-rank order"
+                );
             }
         }
     }

@@ -7,15 +7,20 @@ use std::collections::BinaryHeap;
 /// Merge `runs` (each ascending) into one ascending vector.
 ///
 /// Uses a binary heap of cursors: `O(n log k)` comparisons for `n` total
-/// elements over `k` runs, no extra copies beyond the output.
-pub fn kway_merge<T: Ord + Copy>(runs: Vec<Vec<T>>) -> Vec<T> {
+/// elements over `k` non-empty runs, no extra copies beyond the output.
+/// A lone non-empty run is returned as it is, without a heap pass or a
+/// copy.
+pub fn kway_merge<T: Ord + Copy>(mut runs: Vec<Vec<T>>) -> Vec<T> {
+    runs.retain(|r| !r.is_empty());
+    if runs.len() <= 1 {
+        return runs.pop().unwrap_or_default();
+    }
     let total: usize = runs.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
     // Heap entries: (value, run index, position within run).
     let mut heap: BinaryHeap<Reverse<(T, usize, usize)>> = runs
         .iter()
         .enumerate()
-        .filter(|(_, r)| !r.is_empty())
         .map(|(i, r)| Reverse((r[0], i, 0)))
         .collect();
     while let Some(Reverse((v, run, pos))) = heap.pop() {
@@ -64,6 +69,19 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2]);
         assert_eq!(kway_merge::<u64>(vec![]), vec![]);
         assert_eq!(kway_merge::<u64>(vec![vec![], vec![]]), vec![]);
+    }
+
+    #[test]
+    fn lone_run_is_returned_without_a_copy() {
+        let run = vec![3u64, 5, 8];
+        let at = run.as_ptr();
+        let out = kway_merge(vec![vec![], run, vec![]]);
+        assert_eq!(out, vec![3, 5, 8]);
+        assert_eq!(out.as_ptr(), at, "a lone run must be moved, not merged");
+        let run = vec![1u64];
+        let at = run.as_ptr();
+        let out = kway_merge(vec![run]);
+        assert_eq!(out.as_ptr(), at);
     }
 
     #[test]

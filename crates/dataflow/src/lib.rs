@@ -23,7 +23,7 @@
 //! Keys and values are `u64` (the paper's experiments use integer
 //! workloads; fixed-size elements per §2).
 //!
-//! The keyed operations also ship **chunked streaming entry points**
+//! The keyed operations are **chunked streaming bodies**
 //! (`reduce_by_key_chunked`, `sort_chunked`, `zip_chunked`,
 //! `union_iter`, `redistribute_by_key_hash_chunked`) that consume
 //! `impl Iterator` inputs in fixed-size batches over
@@ -32,7 +32,11 @@
 //! of the whole share, and operations that shrink data before
 //! exchanging (`reduce_by_key_chunked` pre-reduces to distinct keys)
 //! keep the *entire* pipeline's footprint independent of n — the
-//! substrate for checking workloads with n ≫ RAM.
+//! substrate for checking workloads with n ≫ RAM. Each is the only body
+//! of its op: `reduce_by_key`, `zip` and `redistribute_by_key_hash` run
+//! it at `chunk = usize::MAX`, and `sort` sorts its owned share in place
+//! and then runs the same exchange; every peer gets one message, as
+//! [`ccheck_net::Comm::all_to_all`] would send it.
 
 pub mod aggregate;
 pub mod checked;
@@ -52,13 +56,11 @@ pub type Pair = (u64, u64);
 
 pub use aggregate::{average_by_key, max_by_key, median_by_key, min_by_key};
 pub use checked::{
-    checked_reduce_by_key, checked_reduce_with, checked_sort, checked_sort_with, CheckedOutcome,
+    checked_reduce_by_key, checked_reduce_with, checked_sort, checked_sort_with, checked_with,
+    reference_reduce, reference_sort, CheckedOutcome,
 };
 pub use dia::{CheckRejected, Dia, PipelineCtx};
-pub use exchange::{
-    redistribute_by_key_hash, redistribute_by_key_hash_chunked,
-    redistribute_by_key_hash_chunked_collect,
-};
+pub use exchange::{redistribute_by_key_hash, redistribute_by_key_hash_chunked};
 pub use group::group_by_key;
 pub use join::{hash_join, sort_merge_join};
 pub use merge::merge_sorted;

@@ -7,58 +7,32 @@ use std::collections::HashMap;
 use ccheck_hashing::Hasher;
 use ccheck_net::Comm;
 
-use crate::exchange::{redistribute_by_key_hash, redistribute_by_key_hash_chunked};
+use crate::exchange::redistribute_by_key_hash_chunked;
 use crate::Pair;
 
 /// Reduce all values sharing a key with the associative, commutative
-/// `reduce` function. Returns this PE's shard of the result (each key on
-/// exactly one PE, shard sorted by key).
+/// `reduce` function — `SELECT key, SUM(value) FROM table GROUP BY key`
+/// when `reduce = |a, b| a + b`. Returns this PE's shard of the result
+/// (each key on exactly one PE, shard sorted by key).
 ///
-/// This is the operation
-/// `SELECT key, SUM(value) FROM table GROUP BY key` when
-/// `reduce = |a, b| a + b`.
-///
-/// The input is consumed element by element, so a caller holding a
-/// slice passes `data.iter().copied()` rather than a copy of it.
+/// This is [`reduce_by_key_chunked`] at `chunk = usize::MAX`: each peer
+/// gets its pre-reduced pairs in one message. The input is consumed
+/// element by element, so a caller holding a slice passes
+/// `data.iter().copied()` rather than a copy of it.
 pub fn reduce_by_key<I, F>(comm: &mut Comm, data: I, hasher: &Hasher, reduce: F) -> Vec<Pair>
 where
     I: IntoIterator<Item = Pair>,
     F: Fn(u64, u64) -> u64,
 {
-    // Phase 1: local pre-reduction (the hash table `h` of §2).
-    let data = data.into_iter();
-    let mut table: HashMap<u64, u64> = HashMap::with_capacity(data.size_hint().0.min(1 << 16));
-    for (k, v) in data {
-        table
-            .entry(k)
-            .and_modify(|acc| *acc = reduce(*acc, v))
-            .or_insert(v);
-    }
-    // Phase 2: route pre-reduced pairs to key owners.
-    let routed = redistribute_by_key_hash(comm, table.into_iter().collect(), hasher);
-    // Phase 3: final local reduction.
-    let mut table: HashMap<u64, u64> = HashMap::with_capacity(routed.len());
-    for (k, v) in routed {
-        table
-            .entry(k)
-            .and_modify(|acc| *acc = reduce(*acc, v))
-            .or_insert(v);
-    }
-    let mut out: Vec<Pair> = table.into_iter().collect();
-    out.sort_unstable_by_key(|&(k, _)| k);
-    out
+    reduce_by_key_chunked(comm, data, hasher, usize::MAX, reduce)
 }
 
-/// Streaming form of [`reduce_by_key`]: consumes the input from an
-/// iterator — the data is **never** materialized as a slice. Memory is
-/// O(local distinct keys + chunk · p): phase 1 folds the stream directly
-/// into the pre-reduction table, phase 2 ships the pre-reduced pairs in
-/// `chunk`-sized batches with bounded per-peer buffers, and phase 3
-/// folds arriving batches straight into the final table.
-///
-/// The result (each key on exactly one PE, shard sorted by key) equals
-/// [`reduce_by_key`] on the materialized stream for any commutative
-/// `reduce`, for every chunk size.
+/// [`reduce_by_key`] with a bounded exchange, in O(local distinct keys +
+/// chunk · p) memory: the input stream is folded into the local
+/// pre-reduction table (the hash table `h` of §2), whose pairs ship in
+/// `chunk`-sized batches and are folded into the final table as they
+/// land. The result is the same for every chunk size; `chunk` must be
+/// equal on every PE.
 pub fn reduce_by_key_chunked<I, F>(
     comm: &mut Comm,
     data: I,
@@ -70,24 +44,20 @@ where
     I: IntoIterator<Item = Pair>,
     F: Fn(u64, u64) -> u64,
 {
-    // Phase 1: stream the input into the local pre-reduction table.
-    let mut table: HashMap<u64, u64> = HashMap::new();
-    for (k, v) in data {
+    let fold = |table: &mut HashMap<u64, u64>, (k, v): Pair| {
         table
             .entry(k)
             .and_modify(|acc| *acc = reduce(*acc, v))
             .or_insert(v);
-    }
-    // Phases 2+3 fused: route pre-reduced pairs in bounded batches and
-    // fold each arriving batch into the final table as it lands.
-    let mut out_table: HashMap<u64, u64> = HashMap::new();
+    };
+    let data = data.into_iter();
+    let mut table: HashMap<u64, u64> = HashMap::with_capacity(data.size_hint().0.min(1 << 16));
+    data.for_each(|pair| fold(&mut table, pair));
+    let mut out_table: HashMap<u64, u64> = HashMap::with_capacity(table.len());
     redistribute_by_key_hash_chunked(comm, table, hasher, chunk, |_, batch| {
-        for (k, v) in batch {
-            out_table
-                .entry(k)
-                .and_modify(|acc| *acc = reduce(*acc, v))
-                .or_insert(v);
-        }
+        batch
+            .into_iter()
+            .for_each(|pair| fold(&mut out_table, pair))
     });
     let mut out: Vec<Pair> = out_table.into_iter().collect();
     out.sort_unstable_by_key(|&(k, _)| k);

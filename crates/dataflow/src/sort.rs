@@ -12,9 +12,8 @@ use crate::kway::kway_merge;
 /// Oversampling factor: samples taken per PE for splitter selection.
 const OVERSAMPLE: usize = 16;
 
-/// Splitter selection (the collective phase 1 shared by [`sort`] and
-/// [`sort_chunked`]): evenly spaced samples of the locally sorted data,
-/// allgathered so all PEs derive the identical `p − 1` splitters.
+/// Splitter selection: evenly spaced samples of the locally sorted
+/// data, allgathered so all PEs derive the identical `p − 1` splitters.
 fn select_splitters(comm: &mut Comm, local: &[u64]) -> Vec<u64> {
     let p = comm.size();
     let s = OVERSAMPLE.min(local.len());
@@ -24,69 +23,40 @@ fn select_splitters(comm: &mut Comm, local: &[u64]) -> Vec<u64> {
         .collect();
     let mut all_samples: Vec<u64> = comm.allgather(samples).into_iter().flatten().collect();
     all_samples.sort_unstable();
-    // p−1 splitters: evenly spaced in the oversample.
+    // p−1 splitters: evenly spaced in the oversample (all 0 if it is empty).
+    let at = |i: usize| i * all_samples.len() / p;
     (1..p)
-        .map(|i| {
-            if all_samples.is_empty() {
-                0
-            } else {
-                all_samples[(i * all_samples.len() / p).min(all_samples.len() - 1)]
-            }
-        })
+        .map(|i| all_samples.get(at(i)).copied().unwrap_or(0))
         .collect()
 }
 
 /// Sort a distributed sequence. Each PE passes its local share and
-/// receives its shard of the globally sorted result.
+/// receives its shard of the globally sorted result. The share is sorted
+/// in place, then exchanged as in [`sort_chunked`] at
+/// `chunk = usize::MAX`: one message per peer.
 pub fn sort(comm: &mut Comm, mut local: Vec<u64>) -> Vec<u64> {
     local.sort_unstable();
-    let p = comm.size();
-    if p == 1 {
-        return local;
-    }
-
-    // Phase 1: identical splitters on every PE.
-    let splitters = select_splitters(comm, &local);
-
-    // Phase 2: partition the sorted local data by splitters. Elements
-    // equal to a splitter go to the lower side (partition_point with <=).
-    let mut outgoing: Vec<Vec<u64>> = Vec::with_capacity(p);
-    let mut start = 0usize;
-    for &sp in &splitters {
-        let end = start + local[start..].partition_point(|&x| x <= sp);
-        outgoing.push(local[start..end].to_vec());
-        start = end;
-    }
-    outgoing.push(local[start..].to_vec());
-
-    // Phase 3: exchange and merge the received sorted runs.
-    let runs = comm.all_to_all(outgoing);
-    kway_merge(runs)
+    exchange_sorted(comm, local, usize::MAX)
 }
 
-/// Streaming-ingest form of [`sort`]: consumes the local input from an
-/// iterator in `chunk`-sized batches, sorting each batch into a run and
-/// k-way merging the runs — the input is never materialized unsorted,
-/// and the exchange ships range partitions in bounded `chunk`-sized
-/// batches ([`Comm::all_to_all_chunked`]) instead of one `Vec` per
-/// destination.
-///
-/// The *local data* is still O(n/p) — sorting has a linear-space lower
-/// bound without spilling to disk, and the received shard is the output
-/// — but ingest and send-side exchange buffers are bounded by `chunk`,
-/// which is what lets this entry point run against generators or files
-/// rather than pre-materialized unsorted slices. The result is
-/// element-for-element identical to [`sort`] on the materialized input
-/// (same samples, same splitters, same stable partition).
+/// [`sort`] over a stream, with bounded ingest and exchange buffers: the
+/// input is consumed in `chunk`-sized batches, each sorted into a run,
+/// and the runs k-way merged — it is never materialized unsorted — and
+/// range partitions ship in `chunk`-sized batches
+/// ([`Comm::all_to_all_chunked`]). The local data is still O(n/p), as
+/// sorting without spilling to disk must be, but the buffers are bounded
+/// by `chunk`. The result is the same for every chunk size (same
+/// samples, splitters and partition); `chunk` must be equal on every PE.
 pub fn sort_chunked<I>(comm: &mut Comm, data: I, chunk: usize) -> Vec<u64>
 where
     I: IntoIterator<Item = u64>,
 {
     assert!(chunk > 0, "chunk size must be positive");
-    // Ingest: sorted runs of at most `chunk` elements, then one k-way
-    // merge — the same totally sorted local sequence `sort` starts from.
+    // Sorted runs of at most `chunk` elements, merged into the sorted
+    // local sequence `sort` starts from.
+    let data = data.into_iter();
     let mut runs: Vec<Vec<u64>> = Vec::new();
-    let mut current: Vec<u64> = Vec::with_capacity(chunk.min(1 << 20));
+    let mut current: Vec<u64> = Vec::with_capacity(chunk.min(data.size_hint().0));
     for x in data {
         current.push(x);
         if current.len() == chunk {
@@ -94,29 +64,33 @@ where
             runs.push(std::mem::take(&mut current));
         }
     }
-    if !current.is_empty() {
-        current.sort_unstable();
-        runs.push(current);
-    }
-    let local = kway_merge(runs);
+    current.sort_unstable();
+    runs.push(current);
+    exchange_sorted(comm, kway_merge(runs), chunk)
+}
+
+/// After the local sort: each element to its splitter interval in
+/// `chunk`-sized batches, then a k-way merge of the per-source runs.
+fn exchange_sorted(comm: &mut Comm, local: Vec<u64>, chunk: usize) -> Vec<u64> {
     let p = comm.size();
     if p == 1 {
         return local;
     }
-
-    // Splitter selection is identical to `sort` (same samples, since the
-    // merged ingest equals the sorted slice).
     let splitters = select_splitters(comm, &local);
-
-    // Exchange: each element's destination is its splitter interval;
-    // batches of `chunk` per destination, collected per source so the
-    // received streams are sorted runs we can k-way merge.
+    // Elements equal to a splitter go to the lower side. A source's first
+    // batch is kept as is: a peer's one batch at chunk = ∞ is not copied.
     let mut received: Vec<Vec<u64>> = vec![Vec::new(); p];
     comm.all_to_all_chunked(
         local,
         chunk,
         |&x| splitters.partition_point(|&sp| sp < x),
-        |src, batch| received[src].extend(batch),
+        |src, batch| {
+            if received[src].is_empty() {
+                received[src] = batch;
+            } else {
+                received[src].extend(batch);
+            }
+        },
     );
     kway_merge(received)
 }

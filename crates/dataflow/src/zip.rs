@@ -28,54 +28,23 @@ fn owner_of(a_starts: &[u64], global_idx: u64) -> usize {
 /// Zip two distributed sequences of equal global length. The output
 /// adopts the distribution of `a`: PE i returns one pair per local
 /// element of `a`. Both inputs are only read, so a caller that still
-/// needs them (a checker, say) lends them instead of handing over
-/// copies; owned `Vec`s work as well.
+/// needs them (a checker, say) lends them; owned `Vec`s work as well.
+/// This is [`zip_chunked`] at `chunk = usize::MAX`: each peer gets the
+/// `b` elements it owns in one message.
 ///
 /// # Panics
 /// Panics (on every PE) if the global lengths differ.
 pub fn zip(comm: &mut Comm, a: impl AsRef<[u64]>, b: impl AsRef<[u64]>) -> Vec<Pair> {
-    let (a, b) = (a.as_ref(), b.as_ref());
-    let p = comm.size();
-    let (a_start, a_total) = comm.exclusive_prefix_sum(a.len() as u64);
-    let (b_start, b_total) = comm.exclusive_prefix_sum(b.len() as u64);
-    assert_eq!(a_total, b_total, "Zip requires equal global lengths");
-
-    // Everyone learns every PE's a-range start so each b-holder can route
-    // its elements to the PEs owning those global indices in `a`.
-    let a_starts: Vec<u64> = comm.allgather(a_start);
-
-    // Route b elements (tagged with their global index) to a-owners.
-    let mut outgoing: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    for (offset, &val) in b.iter().enumerate() {
-        let gidx = b_start + offset as u64;
-        outgoing[owner_of(&a_starts, gidx)].push((gidx, val));
-    }
-    let incoming = comm.all_to_all(outgoing);
-
-    // Place received b values at their position within the local a range.
-    let mut b_aligned: Vec<u64> = vec![0; a.len()];
-    let mut filled = vec![false; a.len()];
-    for (gidx, val) in incoming.into_iter().flatten() {
-        let local = (gidx - a_start) as usize;
-        b_aligned[local] = val;
-        filled[local] = true;
-    }
-    assert!(filled.iter().all(|&f| f), "zip alignment left holes");
-
-    a.iter().copied().zip(b_aligned).collect()
+    let b = b.as_ref();
+    zip_chunked(comm, a, (b.len() as u64, b.iter().copied()), usize::MAX)
 }
 
-/// Streaming-ingest form of [`zip`]: the second sequence arrives as
-/// `(local_len, stream)` and is routed to the first sequence's owners in
-/// `chunk`-sized batches with bounded per-peer buffers
-/// ([`Comm::all_to_all_chunked`]) — no per-destination `Vec` of the
-/// whole share is ever built. The output (one pair per local element of
-/// `a`, adopting `a`'s distribution) is identical to [`zip`].
-///
-/// `b`'s length must be declared up front because the owner of a `b`
-/// element is determined by its *global* index, which requires the
-/// prefix sum before the stream is consumed. `a` is only read, as in
-/// [`zip`].
+/// [`zip`] over a streamed `b`, given as `(local_len, stream)` and routed
+/// to `a`'s owners in `chunk`-sized batches with bounded per-peer
+/// buffers ([`Comm::all_to_all_chunked`]). The length comes first because
+/// an element's owner depends on its *global* index, a prefix sum taken
+/// before the stream is read. The output is the same for every chunk
+/// size; `chunk` must be equal on every PE.
 ///
 /// # Panics
 /// Panics if the global lengths differ, or if `b`'s stream yields a
@@ -89,16 +58,14 @@ where
     let (b_start, b_total) = comm.exclusive_prefix_sum(b.0);
     assert_eq!(a_total, b_total, "Zip requires equal global lengths");
 
+    // Every PE's a-range start, so each b element (tagged with its global
+    // index) is routed to its a-owner and placed in its local a range.
     let a_starts: Vec<u64> = comm.allgather(a_start);
-
     let mut b_aligned: Vec<u64> = vec![0; a.len()];
     let mut filled = vec![false; a.len()];
     let mut sent = 0u64;
     comm.all_to_all_chunked(
-        b.1.into_iter().enumerate().map(|(offset, val)| {
-            sent += 1;
-            (b_start + offset as u64, val)
-        }),
+        (b_start..).zip(b.1).inspect(|_| sent += 1),
         chunk,
         |&(gidx, _)| owner_of(&a_starts, gidx),
         |_, batch| {

@@ -54,6 +54,32 @@ fn exercise(comm: &mut Comm) -> u64 {
         assert_eq!(*v, 100 * src as u64 + r as u64);
     }
     checks += 1;
+    // Streamed all-to-all: PER_PEER items to every PE, at chunks below,
+    // equal to and above that count. A batch shorter than the chunk ends
+    // a peer's stream, so each peer costs ⌊PER_PEER / chunk⌋ + 1 messages.
+    const PER_PEER: u64 = 4;
+    for chunk in [1, 3, 4, 5, usize::MAX] {
+        let msgs_before = comm.stats().snapshot().per_pe()[r].msgs_sent;
+        let items = (0..p).flat_map(|j| (0..PER_PEER).map(move |i| (j, 100 * r as u64 + i)));
+        let mut received: Vec<Vec<u64>> = vec![Vec::new(); p];
+        comm.all_to_all_chunked(
+            items,
+            chunk,
+            |&(dest, _)| dest,
+            |src, batch| received[src].extend(batch.into_iter().map(|(_, v)| v)),
+        );
+        for (src, stream) in received.iter().enumerate() {
+            let sent: Vec<u64> = (0..PER_PEER).map(|i| 100 * src as u64 + i).collect();
+            assert_eq!(*stream, sent, "chunk {chunk}: stream from PE {src}");
+        }
+        let msgs = comm.stats().snapshot().per_pe()[r].msgs_sent - msgs_before;
+        assert_eq!(
+            msgs,
+            (p as u64 - 1) * (PER_PEER / chunk as u64 + 1),
+            "chunk {chunk}"
+        );
+        checks += 1;
+    }
     assert!(comm.all_agree(true));
     comm.barrier();
     checks += 1;

@@ -28,6 +28,10 @@ mod op {
     pub const ALLTOALL_CHUNKED: u64 = 8;
 }
 
+/// The largest batch [`Comm::all_to_all_chunked`] hands `on_recv` of the
+/// items a PE routes to itself.
+const OWN_BATCH: usize = 4096;
+
 /// `⌈log₂ p⌉` for `p ≥ 1` — round count of tree collectives.
 #[inline]
 pub fn ceil_log2(p: usize) -> u32 {
@@ -328,17 +332,27 @@ impl Comm {
     /// data still receives O(n/p) like its slice-based counterpart.
     /// Items routed to this PE's own rank short-circuit through
     /// `on_recv` without touching the network (matching
-    /// [`Comm::all_to_all`], whose own slice is not counted as traffic).
+    /// [`Comm::all_to_all`], whose own slice is not counted as traffic),
+    /// in batches of at most `min(chunk, 4096)`: they need no bigger
+    /// buffer, however large `chunk` is.
     ///
     /// Chunks from one source arrive at `on_recv` in sending order;
     /// interleaving *between* sources is unspecified. The message
     /// pattern (and therefore the byte accounting) is deterministic for
-    /// a fixed `(items, chunk, p)`, identical on every transport: each
-    /// peer receives `⌈k_j / chunk⌉` data messages plus one empty
-    /// terminator, where `k_j` is the number of items routed to it.
+    /// a fixed `(items, chunk, p)`, identical on every transport. A
+    /// peer's stream is its full `chunk`-item batches followed by one
+    /// shorter batch, which ends the stream: with `k_j` items routed to
+    /// peer `j`, that is `⌊k_j / chunk⌋ + 1` messages, the last one
+    /// empty only when `k_j` is an exact multiple of `chunk`. At a
+    /// `chunk` no smaller than any `k_j` (`usize::MAX`, say) every peer
+    /// gets exactly one message holding all of its items: bytes,
+    /// messages and rounds are those of [`Comm::all_to_all`] over the
+    /// per-destination `Vec`s.
     ///
     /// This is a collective: every PE must call it in the same slot of
-    /// the collective sequence (streams may of course differ).
+    /// the collective sequence (streams may of course differ), and with
+    /// the **same `chunk`** — a receiver recognizes the end of a stream
+    /// by a batch shorter than its own `chunk`.
     ///
     /// # Panics
     /// Panics if `chunk == 0` or `dest_of` returns an out-of-range rank.
@@ -355,48 +369,47 @@ impl Comm {
         let r = self.rank();
         let mut on_recv = on_recv;
         let mut buffers: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        // Phase 1: route, flushing any buffer that reaches `chunk` items.
+        // Phase 1: route, flushing any buffer that reaches `chunk` items,
+        // or this PE's own buffer at `OWN_BATCH`: its items never touch
+        // the network, so they need no bigger buffer whatever `chunk` is.
         // Sends never block on the built-in backends, so all flushes can
         // precede the drain phase without deadlock.
+        let own_batch = chunk.min(OWN_BATCH);
         for item in items {
             let dest = dest_of(&item);
             assert!(dest < p, "dest_of returned {dest}, but p = {p}");
             let buf = &mut buffers[dest];
             buf.push(item);
-            if buf.len() == chunk {
+            if dest == r && buf.len() == own_batch {
+                on_recv(r, std::mem::take(buf));
+            } else if buf.len() == chunk {
                 let full = std::mem::take(buf);
-                if dest == r {
-                    on_recv(r, full);
-                } else {
-                    self.send(dest, tag, &full);
-                }
+                self.send(dest, tag, &full);
             }
         }
-        // Phase 2: flush remainders, then terminate every peer stream
-        // with an empty chunk (data chunks are never empty).
-        for (dest, buf) in buffers.into_iter().enumerate() {
-            if dest == r {
-                if !buf.is_empty() {
-                    on_recv(r, buf);
-                }
-            } else {
-                if !buf.is_empty() {
-                    self.send(dest, tag, &buf);
-                }
-                self.send(dest, tag, &Vec::<T>::new());
+        // Phase 2: every remainder is shorter than `chunk`, so sending
+        // it (empty or not) ends that peer's stream.
+        for (dest, rest) in buffers.into_iter().enumerate() {
+            if dest != r {
+                self.send(dest, tag, &rest);
+            } else if !rest.is_empty() {
+                on_recv(r, rest);
             }
         }
-        // Phase 3: drain every peer's stream to its terminator. The
+        // Phase 3: drain every peer's stream to its short batch. The
         // selective-receive queue preserves per-(source, tag) FIFO
         // order, so chunks arrive in sending order per source.
         for offset in 1..p {
             let src = (r + p - offset) % p;
             loop {
                 let batch: Vec<T> = self.recv(src, tag);
-                if batch.is_empty() {
+                let last = batch.len() < chunk;
+                if !batch.is_empty() {
+                    on_recv(src, batch);
+                }
+                if last {
                     break;
                 }
-                on_recv(src, batch);
             }
         }
     }
@@ -875,6 +888,86 @@ mod tests {
         assert_eq!(snap.per_pe()[0].bytes_sent, 100 * 88 + 8);
         assert_eq!(snap.per_pe()[0].msgs_sent, 101);
         assert_eq!(snap.per_pe()[1].bytes_sent, 8);
+    }
+
+    #[test]
+    fn chunked_all_to_all_short_batch_ends_the_stream() {
+        // 1005 = 100 full chunks + a 5-item batch, which ends the stream:
+        // 101 messages and no empty terminator.
+        let (_, snap) = run_with_stats(2, |comm| {
+            let r = comm.rank();
+            let items = 0..if r == 0 { 1005u64 } else { 0 };
+            let mut n = 0usize;
+            comm.all_to_all_chunked(items, 10, |_| 1 - r, |_, b| n += b.len());
+            n
+        });
+        assert_eq!(snap.per_pe()[0].bytes_sent, 100 * 88 + (8 + 5 * 8));
+        assert_eq!(snap.per_pe()[0].msgs_sent, 101);
+        assert_eq!(snap.per_pe()[1].bytes_sent, 8);
+        assert_eq!(snap.per_pe()[1].msgs_sent, 1);
+    }
+
+    #[test]
+    fn chunked_all_to_all_hands_own_items_over_in_bounded_batches() {
+        run(2, |comm| {
+            let r = comm.rank();
+            let (mut own, mut largest) = (Vec::new(), 0);
+            comm.all_to_all_chunked(
+                0..10_000u64,
+                usize::MAX,
+                |_| r,
+                |src, batch| {
+                    assert_eq!(src, r);
+                    largest = largest.max(batch.len());
+                    own.extend(batch);
+                },
+            );
+            assert_eq!(own, (0..10_000).collect::<Vec<_>>());
+            assert_eq!(largest, OWN_BATCH);
+        });
+    }
+
+    #[test]
+    fn chunked_all_to_all_at_unbounded_chunk_costs_what_all_to_all_does() {
+        // Uneven per-peer counts, some peers getting nothing; any chunk
+        // at or above the largest per-peer count sends one message per
+        // peer, byte for byte the message `all_to_all` sends.
+        let items_of = |r: usize, p: usize| -> Vec<(u64, u64)> {
+            (0..(7 * r + 3) as u64)
+                .map(|i| ((i * i + r as u64) % (p as u64 + 1), i))
+                .filter(|&(dest, _)| dest < p as u64)
+                .collect()
+        };
+        for p in [1usize, 2, 3, 5] {
+            let (direct, direct_stats) = run_with_stats(p, |comm| {
+                let (r, p) = (comm.rank(), comm.size());
+                let mut outgoing: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
+                for item in items_of(r, p) {
+                    outgoing[item.0 as usize].push(item);
+                }
+                comm.all_to_all(outgoing)
+            });
+            let max_count = 7 * p + 3;
+            for chunk in [max_count, max_count + 1, usize::MAX] {
+                let (chunked, chunked_stats) = run_with_stats(p, |comm| {
+                    let (r, p) = (comm.rank(), comm.size());
+                    let mut received: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
+                    comm.all_to_all_chunked(
+                        items_of(r, p),
+                        chunk,
+                        |&(dest, _)| dest as usize,
+                        |src, batch| received[src].extend(batch),
+                    );
+                    received
+                });
+                assert_eq!(chunked, direct, "p={p} chunk={chunk}");
+                assert_eq!(
+                    chunked_stats.per_pe(),
+                    direct_stats.per_pe(),
+                    "p={p} chunk={chunk}: bytes, msgs and rounds"
+                );
+            }
+        }
     }
 
     #[test]

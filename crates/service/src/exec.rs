@@ -13,7 +13,6 @@
 //! seeds until one actually changes the semantics, so "inject a fault"
 //! reliably means the checker has something to catch).
 
-use std::cell::Cell;
 use std::time::Instant;
 
 use ccheck::config::SumCheckConfig;
@@ -23,26 +22,27 @@ use ccheck::sort::check_globally_sorted;
 use ccheck::zip::{ZipCheckConfig, ZipChecker};
 use ccheck::SumChecker;
 use ccheck_dataflow::{
-    checked_reduce_with, checked_sort_with, reduce_by_key, reduce_by_key_chunked, sort,
-    sort_chunked, zip, zip_chunked, CheckedOutcome,
+    checked_with, reduce_by_key_chunked, reference_reduce, reference_sort, sort_chunked,
+    zip_chunked, CheckedOutcome,
 };
 use ccheck_hashing::{Hasher, HasherKind};
 use ccheck_manip::{SortManipulator, SumManipulator, ZipManipulator};
 use ccheck_net::Comm;
 use ccheck_workloads::{local_range, uniform_ints_iter, zipf_valued_pairs_iter};
 
-use crate::job::{FaultSpec, JobOp, JobSpec, Receipt, ReceiptComm, ReceiptTiming, Verdict};
+use crate::job::{JobOp, JobSpec, Receipt, ReceiptComm, ReceiptTiming, Verdict};
 
 /// Microsecond accumulators for one job's phases. `generate` covers
-/// eager input materialization, one-shot zip's `b` included: the op
+/// a one-shot job's input materialization, zip's `b` included: the op
 /// borrows it and the checker reads it (chunked jobs generate lazily
 /// inside the operation, so their generate share rides in `execute`);
-/// `execute` is the data operation itself (including injected faults
-/// and any checker-driven retries); `check` is checker time, including
-/// the input fold a chunked job's [`Tee`] runs inside the operation's
-/// pass (see [`PhaseTimes::rebook_fold`]). Whatever the job spent
-/// outside all three (digests, the stats gather) is the receipt
-/// overhead, reported to the metrics registry as the remainder.
+/// `execute` is the data operation itself (including injected faults,
+/// every retried attempt and a fallback); `check` is checker time,
+/// including the input fold every reduce and sort attempt's [`Tee`]
+/// runs inside the operation's pass (see [`PhaseTimes::rebook_fold`]).
+/// Whatever the job spent outside all three (digests, the stats gather)
+/// is the receipt overhead, reported to the metrics registry as the
+/// remainder.
 #[derive(Debug, Default, Clone, Copy)]
 struct PhaseTimes {
     generate_us: u64,
@@ -113,9 +113,9 @@ pub fn validate_fault(spec: &JobSpec) -> Result<(), String> {
         return Ok(());
     };
     let known = match spec.op {
-        JobOp::Reduce => sum_manipulator(&fault.kind).is_some(),
-        JobOp::Sort => sort_manipulator(&fault.kind).is_some(),
-        JobOp::Zip => zip_manipulator(&fault.kind).is_some(),
+        JobOp::Reduce => sum_fault(&fault.kind).is_some(),
+        JobOp::Sort => sort_fault(&fault.kind).is_some(),
+        JobOp::Zip => zip_fault(&fault.kind).is_some(),
     };
     if known {
         Ok(())
@@ -128,51 +128,48 @@ pub fn validate_fault(spec: &JobSpec) -> Result<(), String> {
     }
 }
 
-fn sum_manipulator(kind: &str) -> Option<SumManipulator> {
-    Some(match kind {
-        "bitflip" => SumManipulator::Bitflip,
-        "randkey" => SumManipulator::RandKey,
-        "switchvalues" => SumManipulator::SwitchValues,
-        "inckey" => SumManipulator::IncKey,
-        "incdec1" => SumManipulator::IncDec(1),
-        "incdec2" => SumManipulator::IncDec(2),
-        _ => return None,
-    })
+/// The manipulator a fault kind names: its paper label, lowercased.
+fn sum_fault(kind: &str) -> Option<SumManipulator> {
+    SumManipulator::all()
+        .into_iter()
+        .find(|m| m.label().to_lowercase() == kind)
 }
 
-fn sort_manipulator(kind: &str) -> Option<SortManipulator> {
-    Some(match kind {
-        "swapadjacent" => SortManipulator::SwapAdjacent,
-        "dupneighbor" => SortManipulator::DupNeighbor,
-        "bitflip" => SortManipulator::Bitflip,
-        "randomize" => SortManipulator::Randomize,
-        _ => return None,
-    })
+fn sort_fault(kind: &str) -> Option<SortManipulator> {
+    SortManipulator::all()
+        .into_iter()
+        .find(|m| m.label().to_lowercase() == kind)
 }
 
-fn zip_manipulator(kind: &str) -> Option<ZipManipulator> {
-    Some(match kind {
-        "bitflip" => ZipManipulator::Bitflip,
-        "swapcomponents" => ZipManipulator::SwapComponents,
-        "swappairs" => ZipManipulator::SwapPairs,
-        "randomize" => ZipManipulator::Randomize,
-        _ => return None,
-    })
+fn zip_fault(kind: &str) -> Option<ZipManipulator> {
+    ZipManipulator::all()
+        .into_iter()
+        .find(|m| m.label().to_lowercase() == kind)
 }
 
-/// Apply a manipulator, retrying over successive seeds until it reports
-/// a real semantic change (manipulators can no-op; an injected fault
-/// that does nothing would make a fault-injection test vacuous). Gives
-/// up after 1000 seeds — only possible on degenerate data.
-fn apply_effective<T: Clone>(
-    data: &mut [T],
-    seed: u64,
-    mut apply: impl FnMut(&mut [T], u64) -> bool,
+/// Inject the job's fault, if it names one of `manipulator`'s, into
+/// PE 0's share of the output. The manipulator is retried over
+/// successive seeds until it reports a real semantic change
+/// (manipulators can no-op; an injected fault that does nothing would
+/// make a fault-injection test vacuous). Gives up after 1000 seeds —
+/// only possible on degenerate data.
+fn inject<M, T: Clone>(
+    comm: &Comm,
+    spec: &JobSpec,
+    out: &mut [T],
+    manipulator: fn(&str) -> Option<M>,
+    apply: fn(&M, &mut [T], u64) -> bool,
 ) {
+    let Some(f) = spec.fault.as_ref().filter(|_| comm.rank() == 0) else {
+        return;
+    };
+    let Some(m) = manipulator(&f.kind) else {
+        return;
+    };
     for offset in 0..1000 {
-        let mut attempt = data.to_vec();
-        if apply(&mut attempt, seed.wrapping_add(offset)) {
-            data.clone_from_slice(&attempt);
+        let mut attempt = out.to_vec();
+        if apply(&m, &mut attempt, f.seed.wrapping_add(offset)) {
+            out.clone_from_slice(&attempt);
             return;
         }
     }
@@ -250,10 +247,12 @@ impl TraceCtx {
 }
 
 /// Emit one job's phase lanes into the trace ring, laid end-to-end
-/// from the job's start. Durations are the measured accumulators; for
-/// chunked modes the real phases interleave, so these lanes show each
-/// phase's *cumulative share* of the wall clock, not disjoint wall
-/// intervals — same attribution the receipt `timing` block reports.
+/// from the job's start. Durations are the measured accumulators; the
+/// real phases interleave (the checker folds the input inside the
+/// operation's pass, and chunked jobs generate there too), so these
+/// lanes show each phase's *cumulative share* of the wall clock, not
+/// disjoint wall intervals — same attribution the receipt `timing`
+/// block reports.
 fn emit_phase_spans(ctx: &TraceCtx, start_us: u64, total_us: u64, ph: &PhaseTimes) {
     let mut at = start_us;
     for (phase, dur) in [
@@ -290,13 +289,10 @@ pub fn execute_job_traced(
     let start_us = ccheck_obs::now_us();
     let t0 = Instant::now();
     let mut ph = PhaseTimes::default();
-    let (verdict, digest, output_elems) = match (spec.op, spec.chunk) {
-        (JobOp::Reduce, 0) => reduce_oneshot(comm, spec, &mut ph),
-        (JobOp::Reduce, chunk) => reduce_chunked(comm, spec, chunk as usize, &mut ph),
-        (JobOp::Sort, 0) => sort_oneshot(comm, spec, &mut ph),
-        (JobOp::Sort, chunk) => sort_chunked_job(comm, spec, chunk as usize, &mut ph),
-        (JobOp::Zip, 0) => zip_job(comm, spec, None, &mut ph),
-        (JobOp::Zip, chunk) => zip_job(comm, spec, Some(chunk as usize), &mut ph),
+    let (verdict, digest, output_elems) = match spec.op {
+        JobOp::Reduce => reduce_job(comm, spec, &mut ph),
+        JobOp::Sort => sort_job(comm, spec, &mut ph),
+        JobOp::Zip => zip_job(comm, spec, &mut ph),
     };
     // Stats snapshot travels last, so it covers the whole job (minus the
     // gather's own traffic, identically in every execution mode).
@@ -355,235 +351,180 @@ pub fn execute_job_traced(
     }
 }
 
-fn sum_cfg(spec: &JobSpec) -> SumCheckConfig {
-    SumCheckConfig::new(
-        spec.iterations as usize,
-        spec.buckets as usize,
-        spec.log2_rhat,
-        HasherKind::Tab64,
-    )
+/// The op's chunk: `chunk = 0` (one-shot) is the unbounded chunk.
+fn op_chunk(spec: &JobSpec) -> usize {
+    match spec.chunk {
+        0 => usize::MAX,
+        chunk => chunk as usize,
+    }
 }
 
-fn partition_hasher(spec: &JobSpec) -> Hasher {
-    Hasher::new(HasherKind::Tab64, spec.seed ^ 0x7061_7274)
+/// A job's input: its lazy generator, or the `Vec` a one-shot job holds,
+/// read in place. One type for both, so a single pass is compiled once.
+enum Input<'a, G, T> {
+    Lazy(G),
+    Held(std::iter::Copied<std::slice::Iter<'a, T>>),
 }
 
-fn outcome_verdict(outcome: CheckedOutcome) -> Verdict {
-    match outcome {
+impl<G: Iterator<Item = T>, T: Copy> Iterator for Input<'_, G, T> {
+    type Item = T;
+
+    #[inline]
+    fn next(&mut self) -> Option<T> {
+        match self {
+            Input::Lazy(items) => items.next(),
+            Input::Held(items) => items.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Input::Lazy(items) => items.size_hint(),
+            Input::Held(items) => items.size_hint(),
+        }
+    }
+}
+
+/// Run a job's single pass, `pass(comm, input, chunk, attempt, ph)` →
+/// (output, verified). A chunked job makes it once over its lazy input;
+/// a rejection stands. A one-shot job materializes the input and makes
+/// the pass over the held `Vec` at `chunk = usize::MAX`, through the
+/// shared retry loop, then `fallback` (booked to execute).
+fn checked_job<G: Iterator<Item = T>, T: Copy, O>(
+    comm: &mut Comm,
+    spec: &JobSpec,
+    ph: &mut PhaseTimes,
+    input: G,
+    mut pass: impl FnMut(&mut Comm, Input<'_, G, T>, usize, usize, &mut PhaseTimes) -> (O, bool),
+    fallback: fn(&mut Comm, Vec<T>) -> O,
+) -> (O, Verdict) {
+    if spec.chunk > 0 {
+        let (out, verified) = pass(comm, Input::Lazy(input), op_chunk(spec), 0, ph);
+        let verdict = if verified {
+            Verdict::Verified
+        } else {
+            Verdict::Rejected
+        };
+        return (out, verdict);
+    }
+    let data: Vec<T> = timed(&mut ph.generate_us, || input.collect());
+    let mut fallback_us = 0;
+    let fallback = |comm: &mut Comm, data| timed(&mut fallback_us, || fallback(comm, data));
+    let retries = spec.max_retries as usize;
+    let (out, outcome) = checked_with(comm, data, retries, fallback, |comm, data, i| {
+        let held = Input::Held(data.iter().copied());
+        pass(comm, held, usize::MAX, i, ph)
+    });
+    ph.execute_us += fallback_us;
+    let verdict = match outcome {
         CheckedOutcome::FastPath => Verdict::Verified,
         CheckedOutcome::Retried { retries } => Verdict::VerifiedAfterRetry(retries as u32),
         CheckedOutcome::FellBack => Verdict::FellBack,
-    }
-}
-
-fn reduce_fault(spec: &JobSpec) -> Option<(SumManipulator, &FaultSpec)> {
-    spec.fault
-        .as_ref()
-        .and_then(|f| sum_manipulator(&f.kind).map(|m| (m, f)))
-}
-
-fn reduce_oneshot(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u64, u64) {
-    let range = local_range(spec.n as usize, comm.rank(), comm.size());
-    let data: Vec<(u64, u64)> = timed(&mut ph.generate_us, || {
-        zipf_valued_pairs_iter(spec.seed, spec.keys, 1 << 20, range).collect()
-    });
-    let hasher = partition_hasher(spec);
-    let fault = reduce_fault(spec);
-    // The op closure runs *inside* the checked wrapper (and re-runs on
-    // retries), so its time is accumulated through a cell; the wrapper's
-    // remainder is checker time.
-    let op_us = Cell::new(0u64);
-    let t_checked = Instant::now();
-    let (out, outcome) = checked_reduce_with(
-        comm,
-        data,
-        sum_cfg(spec),
-        check_seed(spec),
-        spec.max_retries as usize,
-        |comm, d| {
-            let t = Instant::now();
-            let mut out = reduce_by_key(comm, d.iter().copied(), &hasher, |a, b| a.wrapping_add(b));
-            if let Some((manip, f)) = &fault {
-                if comm.rank() == 0 {
-                    apply_effective(&mut out, f.seed, |d, s| manip.apply(d, s));
-                }
-            }
-            op_us.set(op_us.get() + t.elapsed().as_micros() as u64);
-            out
-        },
-    );
-    let checked_us = t_checked.elapsed().as_micros() as u64;
-    ph.execute_us += op_us.get();
-    ph.check_us += checked_us.saturating_sub(op_us.get());
-    let (digest, total_out) = receipt_totals(comm, digest_pairs(&out), out.len());
-    (outcome_verdict(outcome), digest, total_out)
-}
-
-fn reduce_chunked(
-    comm: &mut Comm,
-    spec: &JobSpec,
-    chunk: usize,
-    ph: &mut PhaseTimes,
-) -> (Verdict, u64, u64) {
-    let range = local_range(spec.n as usize, comm.rank(), comm.size());
-    let hasher = partition_hasher(spec);
-    let checker = SumChecker::new(sum_cfg(spec), check_seed(spec));
-    // Single pass: the lazy input is generated once, inside the
-    // operation, and the tee folds each block into the checker's input
-    // sketch on its way in.
-    let mut input = checker.sketch();
-    let mut fold_ns = 0;
-    let mut shard = timed(&mut ph.execute_us, || {
-        let mut tee = Tee::new(
-            zipf_valued_pairs_iter(spec.seed, spec.keys, 1 << 20, range),
-            fold_timed(&mut input, &mut fold_ns),
-        );
-        let shard = reduce_by_key_chunked(comm, &mut tee, &hasher, chunk, |a, b| a.wrapping_add(b));
-        tee.finish();
-        shard
-    });
-    ph.rebook_fold(fold_ns);
-    if let Some((manip, f)) = reduce_fault(spec) {
-        if comm.rank() == 0 {
-            apply_effective(&mut shard, f.seed, |d, s| manip.apply(d, s));
-        }
-    }
-    let ok = timed(&mut ph.check_us, || {
-        let mut asserted = checker.sketch();
-        asserted.update_iter(shard.iter().copied());
-        checker.check_distributed_sketches(comm, input, asserted)
-    });
-    let verdict = if ok {
-        Verdict::Verified
-    } else {
-        Verdict::Rejected
     };
+    (out, verdict)
+}
+
+fn reduce_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u64, u64) {
+    let range = local_range(spec.n as usize, comm.rank(), comm.size());
+    let input = zipf_valued_pairs_iter(spec.seed, spec.keys, 1 << 20, range);
+    let hasher = Hasher::new(HasherKind::Tab64, spec.seed ^ 0x7061_7274);
+    let (its, buckets) = (spec.iterations as usize, spec.buckets as usize);
+    let cfg = SumCheckConfig::new(its, buckets, spec.log2_rhat, HasherKind::Tab64);
+    let (shard, verdict) = checked_job(
+        comm,
+        spec,
+        ph,
+        input,
+        |comm, input, chunk, attempt, ph| {
+            // A retry is checked with a fresh seed.
+            let seed = check_seed(spec).wrapping_add(attempt as u64);
+            let checker = SumChecker::new(cfg, seed);
+            let mut seen = checker.sketch();
+            let mut fold_ns = 0;
+            let out = timed(&mut ph.execute_us, || {
+                let mut tee = Tee::new(input, fold_timed(&mut seen, &mut fold_ns));
+                let mut out =
+                    reduce_by_key_chunked(comm, &mut tee, &hasher, chunk, |a, b| a.wrapping_add(b));
+                tee.finish();
+                inject(comm, spec, &mut out, sum_fault, SumManipulator::apply);
+                out
+            });
+            ph.rebook_fold(fold_ns);
+            let verified = timed(&mut ph.check_us, || {
+                let mut asserted = checker.sketch();
+                asserted.update_iter(out.iter().copied());
+                checker.check_distributed_sketches(comm, seen, asserted)
+            });
+            (out, verified)
+        },
+        reference_reduce,
+    );
     let (digest, total_out) = receipt_totals(comm, digest_pairs(&shard), shard.len());
     (verdict, digest, total_out)
 }
 
-fn perm_checker(spec: &JobSpec) -> PermChecker {
+fn sort_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u64, u64) {
+    let range = local_range(spec.n as usize, comm.rank(), comm.size());
+    let input = uniform_ints_iter(spec.seed, spec.keys.max(2), range);
     let mut cfg = PermCheckConfig::hash_sum(HasherKind::Tab64, 32);
     cfg.iterations = spec.iterations as usize;
-    PermChecker::new(cfg, check_seed(spec))
-}
-
-fn sort_fault(spec: &JobSpec) -> Option<(SortManipulator, &FaultSpec)> {
-    spec.fault
-        .as_ref()
-        .and_then(|f| sort_manipulator(&f.kind).map(|m| (m, f)))
-}
-
-fn sort_oneshot(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u64, u64) {
-    let range = local_range(spec.n as usize, comm.rank(), comm.size());
-    let data: Vec<u64> = timed(&mut ph.generate_us, || {
-        uniform_ints_iter(spec.seed, spec.keys.max(2), range).collect()
-    });
-    let perm = perm_checker(spec);
-    let fault = sort_fault(spec);
-    let op_us = Cell::new(0u64);
-    let t_checked = Instant::now();
-    let (out, outcome) =
-        checked_sort_with(comm, data, &perm, spec.max_retries as usize, |comm, d| {
-            let t = Instant::now();
-            let mut out = sort(comm, d.to_vec());
-            if let Some((manip, f)) = &fault {
-                if comm.rank() == 0 {
-                    apply_effective(&mut out, f.seed, |d, s| manip.apply(d, s));
-                }
-            }
-            op_us.set(op_us.get() + t.elapsed().as_micros() as u64);
-            out
-        });
-    let checked_us = t_checked.elapsed().as_micros() as u64;
-    ph.execute_us += op_us.get();
-    ph.check_us += checked_us.saturating_sub(op_us.get());
-    let (start, _) = comm.exclusive_prefix_sum(out.len() as u64);
-    let local_digest = digest_sequence(start, out.iter().copied());
-    let (digest, total_out) = receipt_totals(comm, local_digest, out.len());
-    (outcome_verdict(outcome), digest, total_out)
-}
-
-fn sort_chunked_job(
-    comm: &mut Comm,
-    spec: &JobSpec,
-    chunk: usize,
-    ph: &mut PhaseTimes,
-) -> (Verdict, u64, u64) {
-    let range = local_range(spec.n as usize, comm.rank(), comm.size());
-    let perm = perm_checker(spec);
-    // Single pass, as in `reduce_chunked`.
-    let mut input = perm.sketch();
-    let mut fold_ns = 0;
-    let mut out = timed(&mut ph.execute_us, || {
-        let mut tee = Tee::new(
-            uniform_ints_iter(spec.seed, spec.keys.max(2), range),
-            fold_timed(&mut input, &mut fold_ns),
-        );
-        let out = sort_chunked(comm, &mut tee, chunk);
-        tee.finish();
-        out
-    });
-    ph.rebook_fold(fold_ns);
-    if let Some((manip, f)) = sort_fault(spec) {
-        if comm.rank() == 0 {
-            apply_effective(&mut out, f.seed, |d, s| manip.apply(d, s));
-        }
-    }
-    // The streaming mirror of `check_sorted`: permutation fingerprint
-    // of the teed input against the output + local/boundary sortedness.
-    // Same collective sequence on every PE (each sub-verdict is itself
-    // SPMD-consistent).
-    let ok = timed(&mut ph.check_us, || {
-        let mut asserted = perm.sketch();
-        asserted.update_iter(out.iter().copied());
-        let is_perm = perm.check_distributed_sketches(comm, input, asserted);
-        check_globally_sorted(comm, &out) && is_perm
-    });
-    let verdict = if ok {
-        Verdict::Verified
-    } else {
-        Verdict::Rejected
-    };
+    // Every attempt is checked with the same checker.
+    let perm = PermChecker::new(cfg, check_seed(spec));
+    let (out, verdict) = checked_job(
+        comm,
+        spec,
+        ph,
+        input,
+        |comm, input, chunk, _, ph| {
+            let mut seen = perm.sketch();
+            let mut fold_ns = 0;
+            let out = timed(&mut ph.execute_us, || {
+                let mut tee = Tee::new(input, fold_timed(&mut seen, &mut fold_ns));
+                let mut out = sort_chunked(comm, &mut tee, chunk);
+                tee.finish();
+                inject(comm, spec, &mut out, sort_fault, SortManipulator::apply);
+                out
+            });
+            ph.rebook_fold(fold_ns);
+            // The permutation fingerprint of the teed input against the
+            // output, plus local/boundary sortedness. Same collective
+            // sequence on every PE (each sub-verdict is SPMD-consistent).
+            let verified = timed(&mut ph.check_us, || {
+                let mut asserted = perm.sketch();
+                asserted.update_iter(out.iter().copied());
+                let is_perm = perm.check_distributed_sketches(comm, seen, asserted);
+                check_globally_sorted(comm, &out) && is_perm
+            });
+            (out, verified)
+        },
+        reference_sort,
+    );
     let (start, _) = comm.exclusive_prefix_sum(out.len() as u64);
     let local_digest = digest_sequence(start, out.iter().copied());
     let (digest, total_out) = receipt_totals(comm, local_digest, out.len());
     (verdict, digest, total_out)
 }
 
-fn zip_job(
-    comm: &mut Comm,
-    spec: &JobSpec,
-    chunk: Option<usize>,
-    ph: &mut PhaseTimes,
-) -> (Verdict, u64, u64) {
+fn zip_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u64, u64) {
     let range = local_range(spec.n as usize, comm.rank(), comm.size());
     let a: Vec<u64> = timed(&mut ph.generate_us, || {
         uniform_ints_iter(spec.seed ^ 0xA11CE, u64::MAX, range.clone()).collect()
     });
     let b_iter = uniform_ints_iter(spec.seed ^ 0xB0B, u64::MAX, range);
-    // One-shot: `b` is generated once, like `a`; the op borrows it and
-    // the checker reads it. Chunked: the op streams `b` and the checker
-    // regenerates the stream, since holding a copy would defeat streaming.
-    let (mut out, b) = match chunk {
-        None => {
-            let b: Vec<u64> = timed(&mut ph.generate_us, || b_iter.clone().collect());
-            let out = timed(&mut ph.execute_us, || zip(comm, &a, &b));
-            (out, Some(b))
-        }
-        Some(chunk) => {
-            let b = (a.len() as u64, b_iter.clone());
-            let out = timed(&mut ph.execute_us, || zip_chunked(comm, &a, b, chunk));
-            (out, None)
-        }
+    // One-shot: `b` is generated once, like `a`, and the op and the
+    // checker both read it. Chunked: each streams `b`, since holding a
+    // copy would defeat streaming.
+    let held_b: Option<Vec<u64>> =
+        (spec.chunk == 0).then(|| timed(&mut ph.generate_us, || b_iter.clone().collect()));
+    let b = || match &held_b {
+        Some(b) => Input::Held(b.iter().copied()),
+        None => Input::Lazy(b_iter.clone()),
     };
-    if let Some(f) = &spec.fault {
-        if let Some(manip) = zip_manipulator(&f.kind) {
-            if comm.rank() == 0 {
-                apply_effective(&mut out, f.seed, |d, s| manip.apply(d, s));
-            }
-        }
-    }
+    let len = a.len() as u64;
+    let mut out = timed(&mut ph.execute_us, || {
+        zip_chunked(comm, &a, (len, b()), op_chunk(spec))
+    });
+    inject(comm, spec, &mut out, zip_fault, ZipManipulator::apply);
     let checker = ZipChecker::new(
         ZipCheckConfig {
             hasher: HasherKind::Tab64,
@@ -591,16 +532,11 @@ fn zip_job(
         },
         check_seed(spec),
     );
-    let ok = timed(&mut ph.check_us, || match &b {
-        Some(b) => checker.check(comm, &a, b, &out),
-        None => checker.check_stream(
-            comm,
-            (a.len() as u64, a.iter().copied()),
-            (a.len() as u64, b_iter),
-            (out.len() as u64, out.iter().copied()),
-        ),
+    let verified = timed(&mut ph.check_us, || {
+        let zipped = (out.len() as u64, out.iter().copied());
+        checker.check_stream(comm, (len, a.iter().copied()), (len, b()), zipped)
     });
-    let verdict = if ok {
+    let verdict = if verified {
         Verdict::Verified
     } else {
         Verdict::Rejected
@@ -614,6 +550,7 @@ fn zip_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::FaultSpec;
     use ccheck::sketch::BLOCK;
     use ccheck_net::run;
 
