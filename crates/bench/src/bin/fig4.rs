@@ -142,8 +142,9 @@ fn main() {
     println!(
         "\nExpected shape (paper): overhead shrinking as the reduction's data \
          exchange dominates. Absolute ratios here sit above the paper's ≤1.12 \
-         because (a) software CRC/tabulation costs ~3× the SSE4.2 hardware \
-         instruction and (b) this reduce baseline is leaner than Thrill's \
+         because (a) the checker's fold costs more per element than the \
+         paper's Table 5 (see `table5`; slice-by-8 CRC where the CPU lacks \
+         SSE 4.2) and (b) this reduce baseline is leaner than Thrill's \
          (~40 ns/elem vs the paper's 88 ns/elem)."
     );
 }

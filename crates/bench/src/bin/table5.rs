@@ -3,8 +3,11 @@
 //! 10⁶ pairs of 64-bit integers.
 //!
 //! The paper measures 3.8–10.0 ns/element on a 3.6 GHz Ryzen 1800X with
-//! hardware CRC32; our software CRC-32C and tabulation hashing land in
-//! the same order of magnitude (absolute numbers depend on the host).
+//! hardware CRC32. The CRC rows here run on the same `crc32`
+//! instruction where the CPU has SSE 4.2 (on the slice-by-8 software
+//! fallback elsewhere), every row through the fused bucket fold that
+//! `condense` shares with every other sum path; absolute numbers depend
+//! on the host.
 //!
 //! ```text
 //! cargo run -p ccheck-bench --bin table5 --release

@@ -35,21 +35,25 @@
 //! however, is a property of the multiset (or, for zip, of the indexed
 //! sequence), not of the order in which the fold touches memory. So
 //! every sketch overrides [`Sketch::update_iter`] with a **block fold**:
-//! buffer up to 256 items on the stack, then go *iteration-major* over
-//! the block — one hasher's tables stay in L1 while it hashes the whole
-//! block ([`ccheck_hashing::Hasher::hash_batch`], tabulation paying one
-//! lookup per significant byte of the block's widest key; consecutive
-//! zip positions via [`ccheck_hashing::Hasher::hash_run`], one table
-//! lookup per key), sums accumulate unreduced, and each iteration's
-//! accumulator is touched once per block.
+//! buffer up to 256 items on the stack, then hash the whole block with
+//! one hasher's tables hot in L1 ([`ccheck_hashing::Hasher::hash_batch`],
+//! tabulation paying one lookup per significant byte of the block's
+//! widest key and CRC-32C running on the `crc32` instruction where the
+//! CPU has it; consecutive zip positions via
+//! [`ccheck_hashing::Hasher::hash_run`], one table lookup per key), and
+//! let sums accumulate unreduced.
 //!
 //! The sum, xor and hash-sum permutation sketches draw every iteration
 //! from one [`ccheck_hashing::PartitionedHash`] (§7.1: one hash word,
 //! sliced into many iterations' values), so their block folds go through
 //! [`PartitionedHash::hash_block`]: each key is hashed once per *word*,
 //! and the iterations a word serves read their slots from the same
-//! batch. The sum and xor sketches then scatter each iteration's block
-//! into its buckets; their `update` is that fold over a one-item block.
+//! batch. The sum and xor sketches share one **fused** bucket fold
+//! (`fold_buckets`): a single pass over the block reads each key's
+//! word once and updates the bucket of every iteration the word serves,
+//! unrolled and with the bucket count a compile-time constant. Every sum
+//! and xor path — `update`, `update_iter`, `condense`, the signed forms —
+//! is that fold; `update` runs it over a one-item block.
 //!
 //! Addition in ℤ, in ℤ/rℤ and in 𝔽_{2⁶¹−1} is associative and
 //! commutative, and xor is too, so the result is the same canonical
@@ -134,60 +138,233 @@ pub trait Sketch: Sized {
 /// Also the block size a [`Tee`] hands its observer.
 pub const BLOCK: usize = 256;
 
-/// Scratch of one bucketed block fold of up to `N` pairs: the keys, and
-/// one hash word per key. A stack array sized to the block: `N = 1` for a
-/// single `update`, [`BLOCK`] for a stream.
-pub(crate) type BlockScratch<const N: usize> = [[u64; N]; 2];
-
-/// The block fold of the bucketed sketches (sum and xor): fold `block`
-/// (at most `N` pairs) into the `instances × d` `table` of `hash`,
-/// iteration-major. The keys are hashed once per hash word
-/// ([`PartitionedHash::hash_block`]); then each iteration `i` runs one
-/// scatter loop, with `map`'s variant resolved outside it, applying
-/// `lane(i)` to every `(bucket, value)` in block order. Each bucket sees
-/// its additions in the order element-wise folding makes them.
-pub(crate) fn scatter_block<V: Copy, L: Fn(&mut u64, V), const N: usize>(
+/// The fused fold of the bucketed sketches (sum and xor): fold the pairs
+/// `(keys[j], values[j])` into the `instances × d` `table` of `hash`,
+/// every iteration at once, calling `add(bucket, value, i)` for the
+/// bucket of iteration `i`. Each hash word is evaluated once per key
+/// ([`PartitionedHash::hash_block`] into `words`, which must hold
+/// `keys.len()` words); one pass over the block then reads each key's word
+/// once and makes the update of every iteration that word serves while
+/// it is in a register. For a power-of-two `d` up to 2¹⁶ the pass is
+/// monomorphised over `d` ([`Pow2`]), so the slot shift, the mask and the
+/// row bounds are constants; other bucket counts map slots through `map`
+/// ([`Mapped`]). Each bucket sees its additions in the order element-wise
+/// folding makes them.
+pub(crate) fn fold_buckets<V: Copy>(
     hash: &PartitionedHash,
     map: BucketMap,
     table: &mut [u64],
-    block: &[(u64, V)],
-    [keys, words]: &mut BlockScratch<N>,
-    lane: impl Fn(usize) -> L,
+    keys: &[u64],
+    values: &[V],
+    words: &mut [u64],
+    add: impl Fn(&mut u64, V, usize),
 ) {
-    let keys = &mut keys[..block.len()];
-    for (key, &(k, _)) in keys.iter_mut().zip(block) {
-        *key = k;
-    }
+    assert_eq!(keys.len(), values.len(), "one value per key");
+    debug_assert_eq!(hash.bits(), map.bits(), "slots as wide as the map reads");
     let d = table.len() / hash.instances();
+    let mapped = Mapped {
+        map,
+        d,
+        bits: hash.bits(),
+    };
     hash.hash_block(keys, words, |instances, words| {
-        for (k, i) in instances.enumerate() {
-            let segment = &mut table[i * d..(i + 1) * d];
-            let add = lane(i);
-            match map {
-                BucketMap::Pow2 { mask } => scatter(segment, words, block, &add, |w| {
-                    (hash.slot(w, k) & mask) as usize
-                }),
-                BucketMap::FastRange { d: buckets, bits } => {
-                    scatter(segment, words, block, &add, |w| {
-                        ((hash.slot(w, k) * buckets) >> bits) as usize
-                    })
+        let first = instances.start;
+        let rows = &mut table[first * d..instances.end * d];
+        let add = |bucket: &mut u64, value, k| add(bucket, value, first + k);
+        macro_rules! pow2 {
+            ($($d:literal)*) => {
+                match (map, d) {
+                    $((BucketMap::Pow2 { .. }, $d) => fold_word(Pow2::<$d>, rows, words, values, add),)*
+                    _ => fold_word(mapped, rows, words, values, add),
                 }
-            }
+            };
         }
+        pow2!(2 4 8 16 32 64 128 256 512 1024 2048 4096 8192 16384 32768 65536)
     });
 }
 
-/// One iteration's scatter loop of [`scatter_block`].
+/// The rows of a bucket table as [`fold_word`] sees them: `d` buckets a
+/// row, and the bucket a row takes from the lowest `bits` bits of a hash
+/// word's remaining slots.
+trait Rows: Copy {
+    fn d(self) -> usize;
+    fn bits(self) -> u32;
+    fn bucket(self, slots: u64) -> usize;
+}
+
+/// `D` buckets a row, a power of two: every shift, mask and row bound is
+/// a constant.
+#[derive(Clone, Copy)]
+struct Pow2<const D: usize>;
+
+impl<const D: usize> Rows for Pow2<D> {
+    #[inline(always)]
+    fn d(self) -> usize {
+        D
+    }
+    #[inline(always)]
+    fn bits(self) -> u32 {
+        D.trailing_zeros()
+    }
+    #[inline(always)]
+    fn bucket(self, slots: u64) -> usize {
+        slots as usize & (D - 1)
+    }
+}
+
+/// Any other bucket count, through the checker's [`BucketMap`].
+#[derive(Clone, Copy)]
+struct Mapped {
+    map: BucketMap,
+    d: usize,
+    bits: u32,
+}
+
+impl Rows for Mapped {
+    #[inline(always)]
+    fn d(self) -> usize {
+        self.d
+    }
+    #[inline(always)]
+    fn bits(self) -> u32 {
+        self.bits
+    }
+    #[inline(always)]
+    fn bucket(self, slots: u64) -> usize {
+        self.map.map(slots & (u64::MAX >> (64 - self.bits)))
+    }
+}
+
+/// One word's pass of [`fold_buckets`]: the slots are the word's
+/// consecutive `bits`-bit groups, lowest first, one per row. A word
+/// serving one to four rows updates them in one unrolled step per key;
+/// more rows go four at a time, then the last one to three together.
 #[inline(always)]
-fn scatter<V: Copy>(
-    segment: &mut [u64],
+fn fold_word<V: Copy, R: Rows>(
+    r: R,
+    rows: &mut [u64],
     words: &[u64],
-    block: &[(u64, V)],
-    add: impl Fn(&mut u64, V),
-    bucket: impl Fn(u64) -> usize,
+    values: &[V],
+    add: impl Fn(&mut u64, V, usize),
 ) {
-    for (&word, &(_, value)) in words.iter().zip(block) {
-        add(&mut segment[bucket(word)], value);
+    match rows.len() / r.d() {
+        1 => fold_keys::<V, R, 1>(r, rows, words, values, add),
+        2 => fold_keys::<V, R, 2>(r, rows, words, values, add),
+        3 => fold_keys::<V, R, 3>(r, rows, words, values, add),
+        4 => fold_keys::<V, R, 4>(r, rows, words, values, add),
+        _ => fold_keys_by_quads(r, rows, words, values, add),
+    }
+}
+
+// The loops below are kept out of line: as functions, their `rows` is a
+// `&mut` parameter the compiler knows nothing else points into, and each
+// loop gets the registers to itself, so the pointers stay in registers
+// across the bucket stores instead of being reloaded for every key.
+
+/// [`fold_word`] for exactly `G` rows.
+#[inline(never)]
+fn fold_keys<V: Copy, R: Rows, const G: usize>(
+    r: R,
+    rows: &mut [u64],
+    words: &[u64],
+    values: &[V],
+    add: impl Fn(&mut u64, V, usize),
+) {
+    let rows = &mut rows[..G * r.d()];
+    for (&word, &value) in words.iter().zip(values) {
+        fold_rows::<V, R, G>(r, rows, word, value, 0, &add);
+    }
+}
+
+/// [`fold_word`] for more than four rows.
+#[inline(never)]
+fn fold_keys_by_quads<V: Copy, R: Rows>(
+    r: R,
+    rows: &mut [u64],
+    words: &[u64],
+    values: &[V],
+    add: impl Fn(&mut u64, V, usize),
+) {
+    let (d, n) = (r.d(), rows.len() / r.d());
+    let (quads, rest) = rows.split_at_mut(n / 4 * 4 * d);
+    for (&word, &value) in words.iter().zip(values) {
+        let mut slots = word;
+        for q in 0..n / 4 {
+            let quad = &mut quads[q * 4 * d..][..4 * d];
+            fold_rows::<V, R, 4>(r, quad, slots, value, 4 * q, &add);
+            slots = slots.checked_shr(4 * r.bits()).unwrap_or(0);
+        }
+        let k = n / 4 * 4;
+        match n % 4 {
+            1 => fold_rows::<V, R, 1>(r, &mut rest[..d], slots, value, k, &add),
+            2 => fold_rows::<V, R, 2>(r, &mut rest[..2 * d], slots, value, k, &add),
+            3 => fold_rows::<V, R, 3>(r, &mut rest[..3 * d], slots, value, k, &add),
+            _ => {}
+        }
+    }
+}
+
+/// The updates of one key in `G` consecutive rows, the first row `k`.
+#[inline(always)]
+fn fold_rows<V: Copy, R: Rows, const G: usize>(
+    r: R,
+    rows: &mut [u64],
+    slots: u64,
+    value: V,
+    k: usize,
+    add: impl Fn(&mut u64, V, usize),
+) {
+    for j in 0..G {
+        let bucket = r.bucket(slots >> (j as u32 * r.bits()));
+        add(&mut rows[j * r.d() + bucket], value, k + j);
+    }
+}
+
+/// The buffering loop of the bucketed sketches: collect up to [`BLOCK`]
+/// pairs as a key array and a value array on the stack, and call
+/// `fold(keys, values, words)` on each full block, then on the final
+/// partial one, with `words` scratch for one hash word per key. Never
+/// calls `fold` with an empty block.
+pub(crate) fn for_each_pair_block<V: Copy + Default>(
+    pairs: impl IntoIterator<Item = (u64, V)>,
+    mut fold: impl FnMut(&[u64], &[V], &mut [u64]),
+) {
+    let mut keys = [0; BLOCK];
+    let mut values = [V::default(); BLOCK];
+    let mut words = [0; BLOCK];
+    let mut filled = 0;
+    for (key, value) in pairs {
+        keys[filled] = key;
+        values[filled] = value;
+        filled += 1;
+        if filled == BLOCK {
+            fold(&keys, &values, &mut words);
+            filled = 0;
+        }
+    }
+    if filled > 0 {
+        fold(&keys[..filled], &values[..filled], &mut words);
+    }
+}
+
+/// [`for_each_pair_block`] over a slice, cut into blocks in place: each
+/// block's split into keys and values is one loop over a slice of known
+/// length, which the compiler vectorizes, where the stream's loop must
+/// test for a full block after every pair.
+pub(crate) fn for_each_pair_chunk<V: Copy + Default>(
+    pairs: &[(u64, V)],
+    mut fold: impl FnMut(&[u64], &[V], &mut [u64]),
+) {
+    let mut keys = [0; BLOCK];
+    let mut values = [V::default(); BLOCK];
+    let mut words = [0; BLOCK];
+    for chunk in pairs.chunks(BLOCK) {
+        let (keys, values) = (&mut keys[..chunk.len()], &mut values[..chunk.len()]);
+        for ((key, value), &(k, v)) in keys.iter_mut().zip(values.iter_mut()).zip(chunk) {
+            *key = k;
+            *value = v;
+        }
+        fold(keys, values, &mut words);
     }
 }
 

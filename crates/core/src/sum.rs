@@ -15,25 +15,30 @@
 //! * all iterations share **one** hash evaluation whose bits are
 //!   partitioned into per-iteration bucket indices
 //!   ([`ccheck_hashing::PartitionedHash`]),
-//! * bucket accumulators are 64-bit and added **without** modulo; the
-//!   expensive reduction runs only when an addition would overflow
-//!   (detected via `overflowing_add`),
+//! * bucket accumulators are 64-bit and added **without** modulo; an
+//!   addition that overflows (detected via `overflowing_add`) folds the
+//!   lost 2⁶⁴ back in as the precomputed `2⁶⁴ mod rᵢ` — at most two more
+//!   adds, no division,
 //! * the input-side and output-side tables of all iterations travel in a
 //!   **single** reduction message, so the whole check costs one tree
 //!   reduction plus one broadcast: `O((n/p + β·d·w·its) + α·log p)`.
 //!
 //! Every fold — [`Sketch::update_iter`], [`Sketch::update`], `condense`
-//! and their signed forms — is one block fold (see [`crate::sketch`]):
-//! hash a block of keys once per hash word, then scatter it into each
-//! iteration's buckets. Unsigned and signed values differ only in the
-//! value lane: the residue each value adds in iteration `i`'s ℤ/rᵢℤ.
+//! and their signed forms — is the fused block fold the xor checker
+//! shares (see [`crate::sketch`]): hash a block of keys once per hash
+//! word, then update every iteration's bucket of each key in one pass.
+//! Unsigned and signed values differ only in the value lane: the residue
+//! each value adds in iteration `i`'s ℤ/rᵢℤ.
 
 use ccheck_hashing::field::addmod;
 use ccheck_hashing::{BucketMap, Mt19937_64, PartitionedHash};
 use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
-use crate::sketch::{for_each_block, scatter_block, BlockScratch, Sketch, BLOCK};
+use crate::sketch::{fold_buckets, for_each_pair_block, for_each_pair_chunk, Sketch};
+
+/// One of [`SumChecker`]'s block folds: `(table, keys, values, words)`.
+type BlockFold<V> = fn(&SumChecker, &mut [u64], &[u64], &[V], &mut [u64]);
 
 /// A configured instance of the sum-aggregation checker.
 ///
@@ -53,6 +58,8 @@ pub struct SumChecker {
     hash: PartitionedHash,
     /// Modulus of each iteration, drawn uniformly from `(r̂, 2r̂]`.
     moduli: Vec<u64>,
+    /// `2⁶⁴ mod rᵢ` per iteration: what an overflowing add lost, mod rᵢ.
+    wraps: Vec<u64>,
     bucket_map: BucketMap,
 }
 
@@ -65,13 +72,15 @@ impl SumChecker {
         // separated) — identical on every PE.
         let mut rng = Mt19937_64::new(seed ^ 0x6D6F_6475_6C75_7321);
         let rhat = cfg.rhat();
-        let moduli = (0..cfg.iterations)
+        let moduli: Vec<u64> = (0..cfg.iterations)
             .map(|_| rhat + 1 + rng.next() % rhat)
             .collect();
+        let wraps = moduli.iter().map(|&r| (u64::MAX % r + 1) % r).collect();
         Self {
             cfg,
             hash,
             moduli,
+            wraps,
             bucket_map,
         }
     }
@@ -96,50 +105,77 @@ impl SumChecker {
         vec![0u64; self.table_len()]
     }
 
-    /// Add one already-reduced residue (`< r_i`) into a bucket with lazy
-    /// overflow handling (§7.1's jump-on-overflow trick).
-    #[inline]
-    fn bucket_add(slot: &mut u64, add: u64, r: u64) {
+    /// Add `add` into a bucket of an iteration whose `2⁶⁴ mod r` is
+    /// `wrap()` (§7.1's jump-on-overflow trick): buckets stay unreduced,
+    /// and an add that overflows folds the lost 2⁶⁴ back in as `wrap()`,
+    /// which is evaluated only then. That add overflows again only if the
+    /// wrapped sum was at least `2⁶⁴ − wrap`; what is left is then below
+    /// `wrap < r`, so one more `wrap` fits.
+    #[inline(always)]
+    fn bucket_add(slot: &mut u64, add: u64, wrap: impl FnOnce() -> u64) {
         let (sum, overflow) = slot.overflowing_add(add);
         *slot = if overflow {
-            // Rare path: reduce both operands, then add in ℤ/rℤ.
-            addmod(*slot % r, add % r, r)
+            Self::fold_carry(sum, wrap())
         } else {
             sum
         };
     }
 
-    /// The one fold of every sum path (the `cRed` inner loop): one block
-    /// of at most `N` `(key, value)` pairs into `table`, all iterations.
-    /// `residue(value, rᵢ)` is the value lane: what `value` adds in
-    /// iteration `i`'s ℤ/rᵢℤ — itself for unsigned values,
-    /// [`SumChecker::signed_residue`] for signed ones.
-    fn fold_block<V: Copy, const N: usize>(
-        &self,
-        table: &mut [u64],
-        block: &[(u64, V)],
-        scratch: &mut BlockScratch<N>,
-        residue: impl Fn(V, u64) -> u64,
-    ) {
-        let residue = &residue;
-        scatter_block(&self.hash, self.bucket_map, table, block, scratch, |i| {
-            let r = self.moduli[i];
-            move |bucket: &mut u64, value| Self::bucket_add(bucket, residue(value, r), r)
-        });
+    /// `sum + 2⁶⁴` in ℤ/rℤ, unreduced, for `wrap = 2⁶⁴ mod r`.
+    #[cold]
+    fn fold_carry(sum: u64, wrap: u64) -> u64 {
+        match sum.overflowing_add(wrap) {
+            (folded, false) => folded,
+            (folded, true) => folded + wrap,
+        }
     }
 
-    /// [`SumChecker::fold_block`] over a whole slice.
-    fn fold_slice<V: Copy>(
+    /// The one fold of every unsigned sum path (the `cRed` inner loop):
+    /// the pairs `(keys[j], values[j])` into `table`, all iterations,
+    /// through the fused block fold; a value adds itself.
+    fn fold_unsigned(&self, table: &mut [u64], keys: &[u64], values: &[u64], words: &mut [u64]) {
+        let map = self.bucket_map;
+        fold_buckets(
+            &self.hash,
+            map,
+            table,
+            keys,
+            values,
+            words,
+            |bucket, value, i| Self::bucket_add(bucket, value, || self.wraps[i]),
+        );
+    }
+
+    /// [`SumChecker::fold_unsigned`] for signed values: a value adds its
+    /// positive residue in ℤ/rᵢℤ ([`SumChecker::signed_residue`]).
+    fn fold_signed(&self, table: &mut [u64], keys: &[u64], values: &[i64], words: &mut [u64]) {
+        let map = self.bucket_map;
+        fold_buckets(
+            &self.hash,
+            map,
+            table,
+            keys,
+            values,
+            words,
+            |bucket, value, i| {
+                let add = Self::signed_residue(value, self.moduli[i]);
+                Self::bucket_add(bucket, add, || self.wraps[i])
+            },
+        );
+    }
+
+    /// Fold a stream of pairs into `table` a block at a time, with `fold`
+    /// one of the two block folds above.
+    fn fold_iter<V: Copy + Default>(
         &self,
         table: &mut [u64],
-        pairs: &[(u64, V)],
-        residue: impl Fn(V, u64) -> u64,
+        pairs: impl IntoIterator<Item = (u64, V)>,
+        fold: BlockFold<V>,
     ) {
         assert_eq!(table.len(), self.table_len());
-        let mut scratch = [[0; BLOCK]; 2];
-        for block in pairs.chunks(BLOCK) {
-            self.fold_block(table, block, &mut scratch, &residue);
-        }
+        for_each_pair_block(pairs, |keys, values, words| {
+            fold(self, table, keys, values, words)
+        });
     }
 
     /// The positive residue (`< r`) representing signed `value` in ℤ/rℤ.
@@ -173,14 +209,20 @@ impl SumChecker {
     /// [`SumChecker::new_table`] or a previous `condense` call; values
     /// accumulate.
     pub fn condense(&self, pairs: &[(u64, u64)], table: &mut [u64]) {
-        self.fold_slice(table, pairs, |value, _| value);
+        assert_eq!(table.len(), self.table_len());
+        for_each_pair_chunk(pairs, |keys, values, words| {
+            self.fold_unsigned(table, keys, values, words)
+        });
     }
 
     /// Condense signed (key, value) pairs — used by the median checker,
     /// where elements map to ±1 (§6.3). Negative values enter as their
     /// positive residue `r − (−v mod r)`.
     pub fn condense_signed(&self, pairs: &[(u64, i64)], table: &mut [u64]) {
-        self.fold_slice(table, pairs, Self::signed_residue);
+        assert_eq!(table.len(), self.table_len());
+        for_each_pair_chunk(pairs, |keys, values, words| {
+            self.fold_signed(table, keys, values, words)
+        });
     }
 
     /// Reduce every bucket to its canonical residue (`< r_i`). Must be
@@ -379,32 +421,16 @@ pub struct SumSketch<'a> {
 impl SumSketch<'_> {
     /// Fold a signed pair (the median checker's ±1 streams): the value
     /// enters as its positive residue in each iteration's ℤ/rᵢℤ.
-    pub fn update_signed(&mut self, pair: (u64, i64)) {
-        self.checker.fold_block(
-            &mut self.table,
-            &[pair],
-            &mut [[0; 1]; 2],
-            SumChecker::signed_residue,
-        );
+    pub fn update_signed(&mut self, (key, value): (u64, i64)) {
+        self.checker
+            .fold_signed(&mut self.table, &[key], &[value], &mut [0]);
     }
 
     /// Fold a stream of signed pairs: [`SumSketch::update_signed`] per
     /// pair, computed by the block fold.
     pub fn update_signed_iter<I: IntoIterator<Item = (u64, i64)>>(&mut self, pairs: I) {
-        self.fold_iter(pairs, SumChecker::signed_residue);
-    }
-
-    /// The buffering loop behind both `update_iter`s.
-    fn fold_iter<V: Copy + Default>(
-        &mut self,
-        pairs: impl IntoIterator<Item = (u64, V)>,
-        residue: impl Fn(V, u64) -> u64,
-    ) {
-        let mut scratch = [[0; BLOCK]; 2];
-        for_each_block(pairs, |block| {
-            self.checker
-                .fold_block(&mut self.table, block, &mut scratch, &residue)
-        });
+        self.checker
+            .fold_iter(&mut self.table, pairs, SumChecker::fold_signed);
     }
 
     /// The raw (unfinalized) condensed table — bucket sums with lazy
@@ -420,13 +446,14 @@ impl Sketch for SumSketch<'_> {
     /// The finalized condensed table: canonical residues `< rᵢ`.
     type Digest = Vec<u64>;
 
-    fn update(&mut self, pair: (u64, u64)) {
+    fn update(&mut self, (key, value): (u64, u64)) {
         self.checker
-            .fold_block(&mut self.table, &[pair], &mut [[0; 1]; 2], |value, _| value);
+            .fold_unsigned(&mut self.table, &[key], &[value], &mut [0]);
     }
 
     fn update_iter<I: IntoIterator<Item = (u64, u64)>>(&mut self, pairs: I) {
-        self.fold_iter(pairs, |value, _| value);
+        self.checker
+            .fold_iter(&mut self.table, pairs, SumChecker::fold_unsigned);
     }
 
     fn merge(&mut self, other: Self) {
@@ -436,8 +463,7 @@ impl Sketch for SumSketch<'_> {
         );
         let d = self.checker.cfg.buckets;
         for ((i, slot), &add) in self.table.iter_mut().enumerate().zip(&other.table) {
-            let r = self.checker.moduli[i / d];
-            SumChecker::bucket_add(slot, add, r);
+            SumChecker::bucket_add(slot, add, || self.checker.wraps[i / d]);
         }
     }
 
@@ -789,6 +815,32 @@ mod tests {
                 crate::sketch::digest_chunked(|| checker.sketch(), input.iter().copied(), chunk);
             assert_eq!(digest, one_shot, "chunk={chunk}");
         }
+    }
+
+    #[test]
+    fn overflow_fold_matches_the_modulo_path() {
+        // Adds near 2⁶⁴ into buckets near 2⁶⁴: the wrap fold must leave
+        // the residue the two-`%` path computes, including when folding
+        // `2⁶⁴ mod r` back in wraps a second time.
+        let checker = SumChecker::new(cfg(64, 2, 62), 9);
+        let near_top = [u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) + 12_345, 3];
+        let mut wrapped_twice = 0;
+        for (&r, &wrap) in checker.moduli.iter().zip(&checker.wraps) {
+            assert_eq!(u128::from(wrap), (1u128 << 64) % u128::from(r));
+            for slot in near_top {
+                for add in near_top {
+                    let modulo = addmod(slot % r, add % r, r);
+                    let mut folded = slot;
+                    SumChecker::bucket_add(&mut folded, add, || wrap);
+                    assert_eq!(folded % r, modulo, "r={r} slot={slot} add={add}");
+                    let once = slot.wrapping_add(add);
+                    if slot.checked_add(add).is_none() && once.checked_add(wrap).is_none() {
+                        wrapped_twice += 1;
+                    }
+                }
+            }
+        }
+        assert!(wrapped_twice > 0, "no case wrapped twice");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use ccheck_hashing::{BucketMap, HasherKind, PartitionedHash};
 use ccheck_net::Comm;
 
-use crate::sketch::{for_each_block, scatter_block, BlockScratch, Sketch, BLOCK};
+use crate::sketch::{fold_buckets, for_each_pair_block, for_each_pair_chunk, Sketch};
 
 /// Configuration of the xor-aggregation checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,22 +83,31 @@ impl XorChecker {
     /// Condense pairs into an `iterations × buckets` xor table.
     pub fn condense(&self, pairs: &[(u64, u64)], table: &mut [u64]) {
         assert_eq!(table.len(), self.cfg.iterations * self.cfg.buckets);
-        let mut scratch = [[0; BLOCK]; 2];
-        for block in pairs.chunks(BLOCK) {
-            self.fold_block(table, block, &mut scratch);
-        }
+        for_each_pair_chunk(pairs, |keys, values, words| {
+            self.fold(table, keys, values, words)
+        });
     }
 
-    /// The one fold of every xor path: one block of at most `N` pairs
-    /// into `table`, all iterations (see [`crate::sketch`]).
-    fn fold_block<const N: usize>(
-        &self,
-        table: &mut [u64],
-        block: &[(u64, u64)],
-        scratch: &mut BlockScratch<N>,
-    ) {
-        scatter_block(&self.hash, self.bucket_map, table, block, scratch, |_| {
-            |bucket: &mut u64, value| *bucket ^= value
+    /// The one fold of every xor path: the pairs `(keys[j], values[j])`
+    /// into `table`, all iterations, through the fused block fold the sum
+    /// checker shares (see [`crate::sketch`]).
+    fn fold(&self, table: &mut [u64], keys: &[u64], values: &[u64], words: &mut [u64]) {
+        fold_buckets(
+            &self.hash,
+            self.bucket_map,
+            table,
+            keys,
+            values,
+            words,
+            |bucket, value, _| *bucket ^= value,
+        );
+    }
+
+    /// [`XorChecker::fold`] over a stream of pairs, a block at a time.
+    fn fold_iter(&self, table: &mut [u64], pairs: impl IntoIterator<Item = (u64, u64)>) {
+        assert_eq!(table.len(), self.cfg.iterations * self.cfg.buckets);
+        for_each_pair_block(pairs, |keys, values, words| {
+            self.fold(table, keys, values, words)
         });
     }
 
@@ -185,17 +194,13 @@ impl Sketch for XorSketch<'_> {
     /// The xor table itself — xor needs no canonicalization.
     type Digest = Vec<u64>;
 
-    fn update(&mut self, pair: (u64, u64)) {
+    fn update(&mut self, (key, value): (u64, u64)) {
         self.checker
-            .fold_block(&mut self.table, &[pair], &mut [[0; 1]; 2]);
+            .fold(&mut self.table, &[key], &[value], &mut [0]);
     }
 
     fn update_iter<I: IntoIterator<Item = (u64, u64)>>(&mut self, pairs: I) {
-        let mut scratch = [[0; BLOCK]; 2];
-        for_each_block(pairs, |block| {
-            self.checker
-                .fold_block(&mut self.table, block, &mut scratch)
-        });
+        self.checker.fold_iter(&mut self.table, pairs);
     }
 
     fn merge(&mut self, other: Self) {

@@ -5,8 +5,9 @@
 //! "Communication Efficient Checking of Big Data Operations"
 //! (Hübschle-Schneider & Sanders, 2018), §7:
 //!
-//! * [`crc32c`](mod@crc32c) — CRC-32C (Castagnoli), slice-by-8 software implementation
-//!   of the same polynomial the paper evaluates via SSE 4.2 hardware,
+//! * [`crc32c`](mod@crc32c) — CRC-32C (Castagnoli) on the SSE 4.2 `crc32`
+//!   instruction the paper evaluates, with a slice-by-8 software
+//!   fallback computing the same function,
 //! * [`tabulation`] — simple tabulation hashing (Zobrist), 32- and 64-bit
 //!   variants with 256-entry tables,
 //! * [`mt19937`] — the MT19937 / MT19937-64 Mersenne Twister used for

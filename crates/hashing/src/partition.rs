@@ -34,7 +34,7 @@
 //! with [`Hasher::hash_batch`] and hands each word's hashes to the
 //! caller together with the instances the word serves; the caller reads
 //! instance `first + k` as [`PartitionedHash::slot`]` (word, k)`. The
-//! checkers' block folds consume it iteration-major, and [`BucketMap`]
+//! checkers' block folds consume it word by word, and [`BucketMap`]
 //! turns a slot into a bucket index.
 
 use std::ops::Range;

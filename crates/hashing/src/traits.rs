@@ -102,18 +102,15 @@ impl Hasher {
     /// Hash every key of a block: `out[i] = hash(keys[i])`, with the
     /// kind dispatched once for the whole block. Tabulation pays one
     /// lookup per significant byte of the block's widest key instead of
-    /// eight (see [`crate::tabulation`]); CRC hashes each key as usual.
+    /// eight (see [`crate::tabulation`]); CRC picks the `crc32`
+    /// instruction or its software fallback once for the block.
     ///
     /// # Panics
     /// Panics if the two slices differ in length.
     pub fn hash_batch(&self, keys: &[u64], out: &mut [u64]) {
         assert_eq!(keys.len(), out.len(), "one output slot per key");
         match self {
-            Hasher::Crc32c(h) => {
-                for (slot, &key) in out.iter_mut().zip(keys) {
-                    *slot = u64::from(h.hash(key));
-                }
-            }
+            Hasher::Crc32c(h) => h.hash_batch(keys, out),
             Hasher::Tab32(h) => h.hash_batch(keys, out),
             Hasher::Tab64(h) => h.hash_batch(keys, out),
         }
