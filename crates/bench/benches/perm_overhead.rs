@@ -4,6 +4,7 @@
 //! the polynomial variants of Lemma 5.
 
 use ccheck::permutation::{PermCheckConfig, PermChecker, PermMethod};
+use ccheck::sketch::Sketch;
 use ccheck_hashing::HasherKind;
 use ccheck_workloads::uniform_ints;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -38,7 +39,9 @@ fn bench_fingerprints(c: &mut Criterion) {
         let checker = PermChecker::new(cfg, 9);
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
-                std::hint::black_box(checker.local_fingerprint(0, std::hint::black_box(&data)))
+                let mut sketch = checker.sketch();
+                sketch.update_iter(std::hint::black_box(&data).iter().copied());
+                std::hint::black_box(sketch.finalize())
             })
         });
     }

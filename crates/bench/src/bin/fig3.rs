@@ -26,6 +26,7 @@
 use std::collections::HashMap;
 
 use ccheck::config::{table3_accuracy_shapes, SumCheckConfig};
+use ccheck::sketch::digest_chunked;
 use ccheck::SumChecker;
 use ccheck_bench::cli::{partition_trials, run_cell, run_opts, run_spmd};
 use ccheck_bench::env_param;
@@ -105,7 +106,12 @@ fn main() {
                         let checker = SumChecker::new(cfg, seed);
                         // "failure" = accepted an incorrect computation.
                         Some(match chunk {
-                            Some(c) => checker.check_local_chunked(&bad, &correct, c),
+                            Some(c) => {
+                                let digest = |side: &[(u64, u64)]| {
+                                    digest_chunked(|| checker.sketch(), side.iter().copied(), c)
+                                };
+                                checker.lanes(digest(&bad), digest(&correct)).accepts()
+                            }
                             None => checker.check_local(&bad, &correct),
                         })
                     });

@@ -21,6 +21,7 @@
 //! ```
 
 use ccheck::permutation::{PermCheckConfig, PermChecker};
+use ccheck::sketch::digest_chunked;
 use ccheck_bench::cli::{partition_trials, run_cell, run_opts, run_spmd};
 use ccheck_bench::env_param;
 use ccheck_hashing::HasherKind;
@@ -78,7 +79,12 @@ fn main() {
                         }
                         let checker = PermChecker::new(cfg, seed);
                         Some(match chunk {
-                            Some(c) => checker.check_local_chunked(&input, &bad, c),
+                            Some(c) => {
+                                let digest = |side: &[u64]| {
+                                    digest_chunked(|| checker.sketch(), side.iter().copied(), c)
+                                };
+                                checker.lanes(digest(&input), digest(&bad)).accepts()
+                            }
                             None => checker.check_local(&input, &bad),
                         })
                     });

@@ -25,6 +25,7 @@
 use std::time::Instant;
 
 use ccheck::config::SumCheckConfig;
+use ccheck::sketch::Sketch;
 use ccheck::SumChecker;
 use ccheck_bench::cli::{run_opts, run_spmd};
 use ccheck_bench::env_param;
@@ -88,7 +89,10 @@ fn main() {
         // the local output shard; only the sketch digests travel.
         let checker = SumChecker::new(SumCheckConfig::new(4, 16, 9, HasherKind::Tab64), 42);
         let t1 = Instant::now();
-        let verdict = checker.check_distributed_stream(comm, input, shard.iter().copied());
+        let (mut seen, mut asserted) = (checker.sketch(), checker.sketch());
+        seen.update_iter(input);
+        asserted.update_iter(shard.iter().copied());
+        let verdict = checker.check_distributed_sketches(comm, seen, asserted);
         let check_secs = t1.elapsed().as_secs_f64();
 
         let peak_kb = comm.allreduce(vm_peak_kb(), |a, b| a.max(b));

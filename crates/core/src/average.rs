@@ -7,12 +7,14 @@
 //! prevent a compensating mis-scaling of averages and counts ("double
 //! the averages and halve the counts") — the count checker verifies the
 //! certificate against the input mapped to `(key, 1)` pairs. Both checks
-//! run as the (value, count)-pair aggregation of §6.1; the combined
-//! failure probability is at most `2·δ_sum`.
+//! run as the (value, count)-pair aggregation of §6.1 — their lanes and
+//! the local tests' veto share one verdict ([`crate::lanes`]); the
+//! combined failure probability is at most `2·δ_sum`.
 
 use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
+use crate::lanes::{verdict, Lanes};
 use crate::sum::SumChecker;
 
 /// Check an average aggregation.
@@ -40,41 +42,34 @@ pub fn check_average(
     seed: u64,
 ) -> bool {
     // Local reconstruction: sums from averages × counts.
-    let mut local_ok = asserted_averages.len() == counts_certificate.len();
-    let mut reconstructed: Vec<(u64, u64)> = Vec::with_capacity(asserted_averages.len());
-    if local_ok {
-        for (&(k, avg), &(k2, count)) in asserted_averages.iter().zip(counts_certificate) {
-            if k != k2 || count == 0 {
-                local_ok = false;
-                break;
-            }
-            let sum = avg * count as f64;
-            let rounded = sum.round();
-            if (sum - rounded).abs() > 0.25 || rounded < 0.0 || rounded > u64::MAX as f64 {
-                local_ok = false; // not an integer sum — cannot be correct
-                break;
-            }
-            reconstructed.push((k, rounded as u64));
-        }
-    }
-    let local_ok = comm.all_agree(local_ok);
-    if !local_ok {
-        return false;
-    }
+    let reconstruct = |(&(k, avg), &(k2, count)): (&(u64, f64), &(u64, u64))| {
+        let sum = avg * count as f64;
+        let rounded = sum.round();
+        // A non-integer sum cannot be correct.
+        let off_grid = (sum - rounded).abs() > 0.25 || rounded < 0.0 || rounded > u64::MAX as f64;
+        (k == k2 && count > 0 && !off_grid).then_some((k, rounded as u64))
+    };
+    let aligned = asserted_averages.len() == counts_certificate.len();
+    let pairs = asserted_averages.iter().zip(counts_certificate);
+    let reconstructed: Option<Vec<(u64, u64)>> = pairs.map(reconstruct).collect();
+    let reconstructed = reconstructed.filter(|_| aligned);
+    let local_ok = reconstructed.is_some();
 
-    // Sum check: input values vs reconstructed sums.
-    let sum_checker = SumChecker::new(cfg, seed ^ 0x5753);
-    let ok_sums = sum_checker.check_distributed(comm, input, &reconstructed);
-
-    // Count check: every element counts once vs the certificate.
-    let count_checker = SumChecker::new(cfg, seed ^ 0x434E);
-    let ok_counts = count_checker.check_distributed_stream(
-        comm,
-        input.iter().map(|&(k, _)| (k, 1)),
-        counts_certificate.iter().copied(),
-    );
-
-    ok_sums && ok_counts
+    // One verdict over the local tests, the sum check (input values vs
+    // reconstructed sums) and the count check (every element counts once
+    // vs the certificate).
+    let sums = SumChecker::new(cfg, seed ^ 0x5753);
+    let counts = SumChecker::new(cfg, seed ^ 0x434E);
+    let lanes = Lanes::veto(!local_ok)
+        .concat(sums.lanes(
+            sums.digest(input.iter().copied()),
+            sums.digest(reconstructed.unwrap_or_default()),
+        ))
+        .concat(counts.lanes(
+            counts.digest(input.iter().map(|&(k, _)| (k, 1))),
+            counts.digest(counts_certificate.iter().copied()),
+        ));
+    verdict(comm, lanes)
 }
 
 #[cfg(test)]
@@ -191,6 +186,19 @@ mod tests {
             check_average(comm, &[(1, 5)], &[(1, 5.0)], &[(2, 1)], cfg(), 3)
         });
         assert!(verdicts.iter().all(|&v| !v));
+    }
+
+    #[test]
+    fn rejects_a_local_failure_the_sums_cannot_see() {
+        // A zero count with average 0 on PE 1 and no input anywhere: the
+        // sum and count checks both balance (x ⊕ 0 = x), so only the
+        // local test's veto rejects, on every PE.
+        let verdicts = run(2, |comm| {
+            let (avgs, counts) =
+                [(vec![], vec![]), (vec![(1, 0.0)], vec![(1, 0)])][comm.rank()].clone();
+            check_average(comm, &[], &avgs, &counts, cfg(), 3)
+        });
+        assert_eq!(verdicts, [false, false]);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
+use crate::lanes::{verdict, Lanes};
 use crate::sum::SumChecker;
 
 /// Fixed-point codec: `frac_bits` fractional bits on a signed 64-bit
@@ -106,39 +107,29 @@ impl FloatSumChecker {
             .collect()
     }
 
+    /// The lanes of a check: a veto if any value fails to encode
+    /// (NaN/∞/overflow) or an asserted sum is not on the grid, then the
+    /// sum checker's lanes of the encoded ticks. [`Lanes::accepts`] is the
+    /// local check (p = 1 semantics).
+    pub fn lanes(&self, input: &[(u64, f64)], asserted: &[(u64, f64)]) -> Lanes {
+        let (t_in, t_out) = (self.encode_pairs(input), self.encode_pairs(asserted));
+        let veto = Lanes::veto(t_in.is_none() || t_out.is_none());
+        let digest =
+            |ticks: Option<Vec<(u64, i64)>>| self.inner.digest_signed(ticks.unwrap_or_default());
+        veto.concat(self.inner.lanes(digest(t_in), digest(t_out)))
+    }
+
     /// Distributed check: `input` float pairs vs `asserted` per-key float
-    /// sums (disjoint shards, as for [`SumChecker`]). Rejects outright if
-    /// any value fails to encode (NaN/∞/overflow) or an asserted sum is
-    /// not on the grid. Every PE returns the same verdict.
+    /// sums (disjoint shards, as for [`SumChecker`]), one [`verdict`] over
+    /// [`FloatSumChecker::lanes`]. Rejects outright if any value on any PE
+    /// fails to encode. Every PE returns the same verdict.
     pub fn check_distributed(
         &self,
         comm: &mut Comm,
         input: &[(u64, f64)],
         asserted: &[(u64, f64)],
     ) -> bool {
-        let encoded = (self.encode_pairs(input), self.encode_pairs(asserted));
-        let (encodable_in, encodable_out) = (encoded.0.is_some(), encoded.1.is_some());
-        if !comm.all_agree(encodable_in && encodable_out) {
-            return false;
-        }
-        let t_in = encoded.0.expect("checked");
-        let t_out = encoded.1.expect("checked");
-        self.inner.check_distributed_signed(comm, &t_in, &t_out)
-    }
-
-    /// Purely local check (p = 1 semantics).
-    pub fn check_local(&self, input: &[(u64, f64)], asserted: &[(u64, f64)]) -> bool {
-        let (Some(t_in), Some(t_out)) = (self.encode_pairs(input), self.encode_pairs(asserted))
-        else {
-            return false;
-        };
-        let mut a = self.inner.new_table();
-        let mut b = self.inner.new_table();
-        self.inner.condense_signed(&t_in, &mut a);
-        self.inner.condense_signed(&t_out, &mut b);
-        self.inner.finalize(&mut a);
-        self.inner.finalize(&mut b);
-        a == b
+        verdict(comm, self.lanes(input, asserted))
     }
 }
 
@@ -210,7 +201,7 @@ mod tests {
         let asserted = aggregate_ticks(codec(), &input).unwrap();
         for seed in 0..20 {
             let checker = FloatSumChecker::new(cfg(), codec(), seed);
-            assert!(checker.check_local(&input, &asserted), "seed {seed}");
+            assert!(checker.lanes(&input, &asserted).accepts(), "seed {seed}");
         }
     }
 
@@ -221,7 +212,7 @@ mod tests {
         let mut bad = aggregate_ticks(codec(), &input).unwrap();
         bad[3].1 += codec().max_error_per_element() * 2.0; // exactly 1 tick
         let checker = FloatSumChecker::new(cfg(), codec(), 5);
-        assert!(!checker.check_local(&input, &bad));
+        assert!(!checker.lanes(&input, &bad).accepts());
     }
 
     #[test]
@@ -234,8 +225,8 @@ mod tests {
         assert_eq!(exact, vec![(1, 0.25)]);
         // A faulty implementation that summed in f32 would report 0.0.
         let checker = FloatSumChecker::new(cfg(), c, 9);
-        assert!(checker.check_local(&input, &exact));
-        assert!(!checker.check_local(&input, &[(1, 0.0)]));
+        assert!(checker.lanes(&input, &exact).accepts());
+        assert!(!checker.lanes(&input, &[(1, 0.0)]).accepts());
     }
 
     #[test]
@@ -285,7 +276,7 @@ mod tests {
         let asserted = aggregate_ticks(codec(), &input).unwrap();
         assert_eq!(asserted, vec![(1, -10.0), (2, 3.0)]);
         let checker = FloatSumChecker::new(cfg(), codec(), 2);
-        assert!(checker.check_local(&input, &asserted));
+        assert!(checker.lanes(&input, &asserted).accepts());
     }
 
     #[test]

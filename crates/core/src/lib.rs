@@ -31,6 +31,7 @@
 //! | §6.5.4 Cor 15 | [`redistribution`] | [`check_join_redistribution`] |
 //! | §2 | [`integrity`] | [`replicated_consistent`] |
 //! | (streaming core) | [`sketch`] | [`Sketch`] — `update`/`merge`/`finalize` behind every checker |
+//! | (one verdict) | [`lanes`] | [`Lanes`] — input minus output of a linear sketch; [`verdict`] reduces it |
 //!
 //! ## Quickstart
 //!
@@ -95,6 +96,7 @@ pub mod average;
 pub mod config;
 pub mod floatsum;
 pub mod integrity;
+pub mod lanes;
 pub mod median;
 pub mod minmax;
 pub mod params;
@@ -111,6 +113,7 @@ pub use average::check_average;
 pub use config::SumCheckConfig;
 pub use floatsum::{aggregate_ticks, FixedPoint, FloatSumChecker};
 pub use integrity::replicated_consistent;
+pub use lanes::{verdict, Lanes};
 pub use median::{check_median_unique, check_median_with_cert, MedianTieCert};
 pub use minmax::{check_extrema, check_extrema_bitvector, check_max, check_min, Extremum};
 pub use params::{optimize, OptimalConfig};

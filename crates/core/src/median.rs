@@ -22,6 +22,7 @@ use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
 use crate::integrity::replicated_consistent;
+use crate::lanes::{verdict, Lanes};
 use crate::sum::SumChecker;
 
 /// Tie-breaking certificate entry for one key (only needed when values
@@ -123,55 +124,37 @@ fn check_median_impl(
             }
         }
     }
-    let local_ok = comm.all_agree(local_ok);
-    if !local_ok {
-        return false;
-    }
-
-    match certs {
-        None => {
-            // Algorithm 2 verbatim: per-key ±1 balance must be zero.
-            // Elements equal to the median (the middle element itself for
-            // odd counts) contribute nothing.
-            let balance_checker = SumChecker::new(cfg, seed ^ 0xBA1A);
-            let ok_balance = balance_checker.check_distributed_signed(comm, &balance, &[]);
-            replicas_ok && ok_balance
+    // Algorithm 2 verbatim without a certificate: the per-key ±1 balance
+    // must be zero, and elements equal to the median (the middle element
+    // itself for odd counts) contribute nothing. With one, two sum checks
+    // with independent seeds: the per-key balance (#above − #below =
+    // eq_below − eq_above ⟺ #below + eq_below = #above + eq_above, i.e.
+    // the two sides of the cut balance once the certificate places the
+    // ties) and the equality count (#equal = eq_below + eq_above + eq_at).
+    // Their targets derive from the certificate, identical on every PE,
+    // and are fed only from PE 0 so the replicas are not counted p times.
+    // The sum checks' lanes share one verdict behind the local tests' veto.
+    let targets = |target: fn(&MedianTieCert) -> i64| -> Vec<(u64, i64)> {
+        match certs {
+            Some(cs) if comm.rank() == 0 => asserted
+                .iter()
+                .zip(cs)
+                .map(|(&(k, _), c)| (k, target(c)))
+                .collect(),
+            _ => Vec::new(),
         }
-        Some(cs) => {
-            // Target sums derived from the certificate (identical on every
-            // PE; fed to the checker only from PE 0 so the replicas are not
-            // counted p times).
-            type SignedPairs = Vec<(u64, i64)>;
-            let (balance_target, equals_target): (SignedPairs, SignedPairs) = if comm.rank() == 0 {
-                (
-                    asserted
-                        .iter()
-                        .zip(cs)
-                        .map(|(&(k, _), c)| (k, c.eq_below as i64 - c.eq_above as i64))
-                        .collect(),
-                    asserted
-                        .iter()
-                        .zip(cs)
-                        .map(|(&(k, _), c)| (k, (c.eq_below + c.eq_above + c.eq_at) as i64))
-                        .collect(),
-                )
-            } else {
-                (Vec::new(), Vec::new())
-            };
-
-            // Two sum checks with independent seeds: the per-key balance
-            // (#above − #below = eq_below − eq_above ⟺
-            //  #below + eq_below = #above + eq_above, i.e. the two sides
-            // of the cut balance once the certificate places the ties)
-            // and the equality count (#equal = eq_below + eq_above + eq_at).
-            let balance_checker = SumChecker::new(cfg, seed ^ 0xBA1A);
-            let ok_balance =
-                balance_checker.check_distributed_signed(comm, &balance, &balance_target);
-            let equals_checker = SumChecker::new(cfg, seed ^ 0xE9A1);
-            let ok_equals = equals_checker.check_distributed_signed(comm, &equals, &equals_target);
-            replicas_ok && ok_balance && ok_equals
-        }
+    };
+    let signed = |seed: u64, stream: Vec<(u64, i64)>, target: Vec<(u64, i64)>| {
+        let checker = SumChecker::new(cfg, seed);
+        checker.lanes(checker.digest_signed(stream), checker.digest_signed(target))
+    };
+    let balance_target = targets(|c| c.eq_below as i64 - c.eq_above as i64);
+    let mut lanes = Lanes::veto(!local_ok).concat(signed(seed ^ 0xBA1A, balance, balance_target));
+    if certs.is_some() {
+        let equals_target = targets(|c| (c.eq_below + c.eq_above + c.eq_at) as i64);
+        lanes = lanes.concat(signed(seed ^ 0xE9A1, equals, equals_target));
     }
+    verdict(comm, lanes) && replicas_ok
 }
 
 #[cfg(test)]

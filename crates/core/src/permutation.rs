@@ -18,7 +18,8 @@
 //! All methods run `iterations` independent instances and accept only if
 //! every instance accepts and the global lengths are equal (a degenerate
 //! mismatch no fingerprint is guaranteed to catch). The distributed
-//! verdict costs one allreduce whatever `iterations` is.
+//! verdict costs one reduce and a one-byte broadcast whatever
+//! `iterations` is ([`crate::lanes`]).
 //!
 //! Hash-sum iterations are `log_h`-bit slices of shared hash words, as
 //! §7.1 does for the sum checker: one word of a `W`-bit hasher serves
@@ -33,10 +34,10 @@
 use ccheck_hashing::field::Mersenne61;
 use ccheck_hashing::gf64::gf_mul;
 use ccheck_hashing::{HasherKind, Mt19937_64, PartitionedHash};
-use ccheck_net::wire::Run;
-use ccheck_net::{Comm, Wire};
+use ccheck_net::Comm;
 
-use crate::sketch::{for_each_block, Sketch, BLOCK};
+use crate::lanes::{split, verdict, Lanes, Op};
+use crate::sketch::{digest_chunked, for_each_block, Sketch, BLOCK};
 
 /// Fingerprinting method for permutation checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,28 +179,10 @@ impl PermChecker {
         self.check_distributed_sketches(comm, in_sk, out_sk)
     }
 
-    /// Streaming form of [`PermChecker::check`]: both sides consumed
-    /// element-at-a-time, O(iterations) memory per PE.
-    pub fn check_stream<I, J>(&self, comm: &mut Comm, input: I, output: J) -> bool
-    where
-        I: IntoIterator<Item = u64>,
-        J: IntoIterator<Item = u64>,
-    {
-        let mut in_sk = self.sketch();
-        in_sk.update_iter(input);
-        let mut out_sk = self.sketch();
-        out_sk.update_iter(output);
-        self.check_distributed_sketches(comm, in_sk, out_sk)
-    }
-
     /// Distributed check over pre-folded sketches — the collective
-    /// driver of every permutation check. **One allreduce**, whatever
-    /// `iterations` and the method are: the message is the count pair
-    /// followed by every iteration's `(input, output)` fingerprint pair
-    /// as a prefix-free [`Run`] (`16 + 32·iterations` bytes for hash
-    /// sums, `16 + 16·iterations` for the polynomial methods), combined
-    /// lane by lane with the method's own operation. Counts and every
-    /// fingerprint pair are compared.
+    /// driver of every permutation check: [`PermChecker::lanes`] of the
+    /// two digests, one reduce and a one-byte broadcast, whatever
+    /// `iterations` and the method are (`8 + 16·iterations` bytes up).
     ///
     /// # Panics
     /// Panics if either sketch belongs to a different checker instance.
@@ -213,76 +196,44 @@ impl PermChecker {
             std::ptr::eq(input.checker, self) && std::ptr::eq(output.checker, self),
             "sketches must come from this checker instance"
         );
-        let counts = (input.count, output.count);
-        let pairs = input.accs.iter().zip(&output.accs);
-        let lanes: Vec<u128> = pairs.flat_map(|(&i, &o)| [i, o]).collect();
-        // Products live in the low 64 bits of the accumulator.
-        let low = |lanes: Vec<u128>| -> Vec<u64> { lanes.into_iter().map(|x| x as u64).collect() };
-        match self.cfg.method {
-            PermMethod::HashSum { .. } => lanes_agree(comm, counts, lanes, u128::wrapping_add),
-            PermMethod::PolyField => lanes_agree(comm, counts, low(lanes), Mersenne61::mul),
-            PermMethod::PolyGf64 => lanes_agree(comm, counts, low(lanes), gf_mul),
-        }
+        verdict(comm, self.lanes(input.finalize(), output.finalize()))
     }
 
-    /// Local fingerprint of iteration `iter` over `data` (the per-PE work
-    /// of the distributed protocol; exposed for the §7.2 overhead
-    /// benchmarks). Additive methods return the exact sum; polynomial
-    /// methods the zero-extended product. Folds every iteration, since
-    /// hash-sum iterations share their hash words.
-    pub fn local_fingerprint(&self, iter: usize, data: &[u64]) -> u128 {
-        let mut sketch = self.sketch();
-        sketch.update_iter(data.iter().copied());
-        sketch.accs[iter]
+    /// The lanes of a check on two finalized digests: the element counts'
+    /// difference (an [`Op::Add`] word — unequal lengths are a degenerate
+    /// mismatch no fingerprint is guaranteed to catch), then one pair of
+    /// words per iteration. Hash sums are exact and below 2¹²⁸, so their
+    /// difference mod 2¹²⁸ ([`Op::Add128`], as `(low, high)`) is zero
+    /// exactly when they are equal. Products do not subtract: the
+    /// polynomial methods send the `(input, output)` pair
+    /// ([`Op::MulMersenne61`], [`Op::MulGf64`]), which accepts when its
+    /// halves agree.
+    pub fn lanes(&self, input: (u64, Vec<u128>), output: (u64, Vec<u128>)) -> Lanes {
+        let ((n_in, ins), (n_out, outs)) = (input, output);
+        let op = match self.fingerprint {
+            Fingerprint::HashSum(_) => Op::Add128,
+            Fingerprint::PolyField(_) => Op::MulMersenne61,
+            Fingerprint::PolyGf64(_) => Op::MulGf64,
+        };
+        let pairs = ins.into_iter().zip(outs).flat_map(|(i, o)| match op {
+            Op::Add128 => split(i.wrapping_sub(o)),
+            // Products live in the low 64 bits of the accumulator.
+            _ => [i as u64, o as u64],
+        });
+        let words: Vec<u64> = std::iter::once(n_in.wrapping_sub(n_out))
+            .chain(pairs)
+            .collect();
+        let its = self.cfg.iterations;
+        assert_eq!(words.len(), 1 + 2 * its, "digests of this checker");
+        Lanes::new(words, vec![(Op::Add, 1), (op, 2 * its)])
     }
 
     /// Purely local check (p = 1 semantics) for tests and benchmarks.
     pub fn check_local(&self, input: &[u64], output: &[u64]) -> bool {
-        self.check_local_stream(input.iter().copied(), output.iter().copied())
+        let digest =
+            |side: &[u64]| digest_chunked(|| self.sketch(), side.iter().copied(), usize::MAX);
+        self.lanes(digest(input), digest(output)).accepts()
     }
-
-    /// Streaming form of [`PermChecker::check_local`].
-    pub fn check_local_stream<I, J>(&self, input: I, output: J) -> bool
-    where
-        I: IntoIterator<Item = u64>,
-        J: IntoIterator<Item = u64>,
-    {
-        let mut in_sk = self.sketch();
-        in_sk.update_iter(input);
-        let mut out_sk = self.sketch();
-        out_sk.update_iter(output);
-        in_sk.finalize() == out_sk.finalize()
-    }
-
-    /// Chunked form of [`PermChecker::check_local`]: both sides folded
-    /// in `chunk`-sized batches and merged; the verdict is identical for
-    /// every chunk size.
-    pub fn check_local_chunked(&self, input: &[u64], output: &[u64], chunk: usize) -> bool {
-        let digest = |side: &[u64]| {
-            crate::sketch::digest_chunked(|| self.sketch(), side.iter().copied(), chunk)
-        };
-        digest(input) == digest(output)
-    }
-}
-
-/// The one collective of a permutation check: sum the `(input, output)`
-/// element counts and combine the fingerprint `lanes` (laid out
-/// `[in₀, out₀, in₁, out₁, …]`) element-wise with `combine`, then accept
-/// iff the global counts are equal — a degenerate mismatch no
-/// fingerprint is guaranteed to catch — and every pair agrees.
-fn lanes_agree<T: Wire + Clone + PartialEq>(
-    comm: &mut Comm,
-    counts: (u64, u64),
-    lanes: Vec<T>,
-    combine: impl Fn(T, T) -> T,
-) -> bool {
-    let ((n_in, n_out), Run(lanes)) = comm.allreduce((counts, Run(lanes)), |a, b| {
-        (
-            (a.0 .0 + b.0 .0, a.0 .1 + b.0 .1),
-            a.1.zip_with(b.1, &combine),
-        )
-    });
-    n_in == n_out && lanes.chunks_exact(2).all(|pair| pair[0] == pair[1])
 }
 
 /// The prepared fingerprints of all iterations: the partitioned hash of

@@ -17,7 +17,9 @@
 use ccheck_hashing::Hasher;
 use ccheck_net::Comm;
 
+use crate::lanes::{verdict, Lanes};
 use crate::permutation::PermChecker;
+use crate::sketch::digest_chunked;
 use crate::sort::{summaries_ordered, ShareSummary};
 
 /// Seeded digest folding a (key, value) pair into one u64 for the
@@ -34,14 +36,36 @@ pub fn pair_digest(seed: u64, key: u64, value: u64) -> u64 {
     mix(mix(key ^ seed) ^ value)
 }
 
-fn digest_all(seed: u64, pairs: &[(u64, u64)]) -> Vec<u64> {
-    pairs
-        .iter()
-        .map(|&(k, v)| pair_digest(seed, k, v))
-        .collect()
+/// The lanes of the multiset check of `pre` against `post`: each pair
+/// enters `perm`'s sketches as its [`pair_digest`] under `seed`.
+fn multiset_lanes(perm: &PermChecker, seed: u64, pre: &[(u64, u64)], post: &[(u64, u64)]) -> Lanes {
+    let digest = |pairs: &[(u64, u64)]| {
+        let digests = pairs.iter().map(|&(k, v)| pair_digest(seed, k, v));
+        digest_chunked(|| perm.sketch(), digests, usize::MAX)
+    };
+    perm.lanes(digest(pre), digest(post))
 }
 
-/// Check the redistribution phase of GroupBy (Corollary 14).
+/// The lanes of one relation's GroupBy redistribution check: a veto if a
+/// received pair does not belong on this PE, then the multiset check.
+fn groupby_lanes(
+    comm: &Comm,
+    pre: &[(u64, u64)],
+    post: &[(u64, u64)],
+    partition_hasher: &Hasher,
+    perm: &PermChecker,
+    seed: u64,
+) -> Lanes {
+    let (p, my_rank) = (comm.size() as u64, comm.rank() as u64);
+    let misplaced = post
+        .iter()
+        .any(|&(k, _)| partition_hasher.hash(k) % p != my_rank);
+    let digest_seed = seed ^ 0x7265_6469_7374;
+    Lanes::veto(misplaced).concat(multiset_lanes(perm, digest_seed, pre, post))
+}
+
+/// Check the redistribution phase of GroupBy (Corollary 14): placement
+/// and integrity in one verdict.
 ///
 /// * `pre` — this PE's pairs before redistribution (operation input),
 /// * `post` — this PE's pairs after redistribution,
@@ -55,24 +79,15 @@ pub fn check_groupby_redistribution(
     perm: &PermChecker,
     seed: u64,
 ) -> bool {
-    let p = comm.size() as u64;
-    let my_rank = comm.rank() as u64;
-    // Placement: every received pair must belong here.
-    let placed_ok = post
-        .iter()
-        .all(|&(k, _)| partition_hasher.hash(k) % p == my_rank);
-    // Integrity: multiset of pairs unchanged.
-    let digest_seed = seed ^ 0x7265_6469_7374;
-    let pre_digest = digest_all(digest_seed, pre);
-    let post_digest = digest_all(digest_seed, post);
-    let multiset_ok = perm.check(comm, &pre_digest, &post_digest);
-    comm.all_agree(placed_ok) && multiset_ok
+    let lanes = groupby_lanes(comm, pre, post, partition_hasher, perm, seed);
+    verdict(comm, lanes)
 }
 
 /// Check the input-redistribution phase of a hash join (Corollary 15):
 /// both relations must be partitioned by the same key hash, with no
 /// element lost or altered. Equal keys are then co-located by
-/// construction of the shared partition function.
+/// construction of the shared partition function. Both relations' checks
+/// share one verdict.
 #[allow(clippy::too_many_arguments)] // SPMD checker over two relations: all four data views are required
 pub fn check_join_redistribution(
     comm: &mut Comm,
@@ -84,16 +99,10 @@ pub fn check_join_redistribution(
     perm: &PermChecker,
     seed: u64,
 ) -> bool {
-    let ok_r = check_groupby_redistribution(comm, r_pre, r_post, partition_hasher, perm, seed);
-    let ok_s = check_groupby_redistribution(
-        comm,
-        s_pre,
-        s_post,
-        partition_hasher,
-        perm,
-        seed ^ 0x6A6F_696E,
-    );
-    ok_r && ok_s
+    let r = groupby_lanes(comm, r_pre, r_post, partition_hasher, perm, seed);
+    let s_seed = seed ^ 0x6A6F_696E;
+    let s = groupby_lanes(comm, s_pre, s_post, partition_hasher, perm, s_seed);
+    verdict(comm, r.concat(s))
 }
 
 /// Check a *range* redistribution (sort-merge join, Corollary 15): both
@@ -138,18 +147,11 @@ pub fn check_range_redistribution(
     let placed_and_ordered = summaries_ordered(comm, summary);
 
     let digest_seed = seed ^ 0x736F_7274_6A6E;
-    let ok_r = perm.check(
-        comm,
-        &digest_all(digest_seed, r_pre),
-        &digest_all(digest_seed, r_post),
-    );
-    let ok_s = perm.check(
-        comm,
-        &digest_all(digest_seed ^ 1, s_pre),
-        &digest_all(digest_seed ^ 1, s_post),
-    );
+    let r = multiset_lanes(perm, digest_seed, r_pre, r_post);
+    let s = multiset_lanes(perm, digest_seed ^ 1, s_pre, s_post);
+    let multisets_ok = verdict(comm, r.concat(s));
 
-    placed_and_ordered && splitters_ok && ok_r && ok_s
+    placed_and_ordered && splitters_ok && multisets_ok
 }
 
 #[cfg(test)]

@@ -17,14 +17,15 @@
 //! size `n` never appears in the sketch's memory footprint, so checking
 //! works out-of-core: stream the data through in chunks of any size.
 //!
-//! Implementations:
+//! Implementations, and the [`crate::Lanes`] rows their checker's
+//! `lanes(input, output)` makes of two digests for the one verdict:
 //!
-//! | Sketch | Checker | State |
-//! |---|---|---|
-//! | [`crate::sum::SumSketch`] | [`crate::SumChecker`] | `its × d` bucket sums in ℤ/rᵢℤ |
-//! | [`crate::xorsum::XorSketch`] | [`crate::XorChecker`] | `its × d` bucket xors |
-//! | [`crate::permutation::PermSketch`] | [`crate::PermChecker`] | per-iteration hash sum / poly product |
-//! | [`crate::zip::ZipSketch`] | [`crate::ZipChecker`] | per-iteration inner-product fingerprint |
+//! | Sketch | Checker | State | Lanes |
+//! |---|---|---|---|
+//! | [`crate::sum::SumSketch`] | [`crate::SumChecker`] | `its × d` bucket sums in ℤ/rᵢℤ | `its` rows of `d` differences mod rᵢ |
+//! | [`crate::xorsum::XorSketch`] | [`crate::XorChecker`] | `its × d` bucket xors | one row of `its·d` xors |
+//! | [`crate::permutation::PermSketch`] | [`crate::PermChecker`] | element count, per-iteration hash sum / poly product | count difference; `its` sum differences mod 2¹²⁸ or product pairs |
+//! | [`crate::zip::ZipSketch`] | [`crate::ZipChecker`] | per-iteration inner-product fingerprint | `2·its` differences in 𝔽_{2⁶¹−1} (from the lockstep walk) |
 //!
 //! # Block folds
 //!

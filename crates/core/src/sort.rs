@@ -125,7 +125,7 @@ pub fn check_globally_sorted(comm: &mut Comm, data: &[u64]) -> bool {
 
 /// Distributed sort check (Theorem 7): `output` must be a globally
 /// sorted permutation of `input`. Every PE returns the same verdict.
-/// Two collectives: the permutation checker's allreduce and the
+/// Two collectives: the permutation checker's verdict and the
 /// sortedness allgather.
 ///
 /// One-sided error: correct results are always accepted; an unsorted or

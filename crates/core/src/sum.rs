@@ -19,9 +19,10 @@
 //!   addition that overflows (detected via `overflowing_add`) folds the
 //!   lost 2⁶⁴ back in as the precomputed `2⁶⁴ mod rᵢ` — at most two more
 //!   adds, no division,
-//! * the input-side and output-side tables of all iterations travel in a
-//!   **single** reduction message, so the whole check costs one tree
-//!   reduction plus one broadcast: `O((n/p + β·d·w·its) + α·log p)`.
+//! * the difference of the input-side and output-side tables, all
+//!   iterations, travels in a **single** reduction message of `8·its·d`
+//!   bytes ([`crate::lanes`]), so the whole check costs one tree
+//!   reduction plus a one-byte broadcast: `O((n/p + β·d·w·its) + α·log p)`.
 //!
 //! Every fold — [`Sketch::update_iter`], [`Sketch::update`], `condense`
 //! and their signed forms — is the fused block fold the xor checker
@@ -35,7 +36,10 @@ use ccheck_hashing::{BucketMap, Mt19937_64, PartitionedHash};
 use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
-use crate::sketch::{fold_buckets, for_each_pair_block, for_each_pair_chunk, Sketch};
+use crate::lanes::{verdict, Lanes, Op};
+use crate::sketch::{
+    digest_chunked, fold_buckets, for_each_pair_block, for_each_pair_chunk, Sketch,
+};
 
 /// One of [`SumChecker`]'s block folds: `(table, keys, values, words)`.
 type BlockFold<V> = fn(&SumChecker, &mut [u64], &[u64], &[V], &mut [u64]);
@@ -236,54 +240,43 @@ impl SumChecker {
         }
     }
 
-    /// Element-wise combine of two finalized tables in ℤ/r_iℤ.
-    pub fn combine(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        assert_eq!(a.len(), b.len());
+    /// The lanes of a check: `input − output` in each iteration's ℤ/rᵢℤ,
+    /// one [`Op::AddMod`] row of `d` words per iteration. Both are
+    /// finalized digests of this checker's sketches (canonical residues),
+    /// so the difference is zero exactly when they are equal; unsigned,
+    /// signed and count checks, one-shot or chunked, all end here.
+    pub fn lanes(&self, mut input: Vec<u64>, output: Vec<u64>) -> Lanes {
+        let len = self.table_len();
+        assert_eq!([input.len(), output.len()], [len; 2], "digest lengths");
         let d = self.cfg.buckets;
-        a.iter()
-            .zip(b)
-            .enumerate()
-            .map(|(idx, (&x, &y))| {
-                let r = self.moduli[(idx / d) % self.cfg.iterations];
-                addmod(x % r, y % r, r)
-            })
-            .collect()
+        let rows = input.chunks_mut(d).zip(output.chunks(d));
+        for ((ins, outs), &r) in rows.zip(&self.moduli) {
+            for (x, &y) in ins.iter_mut().zip(outs) {
+                *x = addmod(*x, (r - y) % r, r);
+            }
+        }
+        let rows = self.moduli.iter().map(|&r| (Op::AddMod(r), d)).collect();
+        Lanes::new(input, rows)
+    }
+
+    /// The finalized digest of a stream of pairs.
+    pub(crate) fn digest(&self, pairs: impl IntoIterator<Item = (u64, u64)>) -> Vec<u64> {
+        digest_chunked(|| self.sketch(), pairs, usize::MAX)
+    }
+
+    /// The finalized digest of a stream of signed pairs.
+    pub(crate) fn digest_signed(&self, pairs: impl IntoIterator<Item = (u64, i64)>) -> Vec<u64> {
+        let mut sketch = self.sketch();
+        sketch.update_signed_iter(pairs);
+        sketch.finalize()
     }
 
     /// Purely local check (p = 1): condense input and asserted output,
     /// compare. Exposed for unit tests and the overhead benchmarks.
     pub fn check_local(&self, input: &[(u64, u64)], asserted: &[(u64, u64)]) -> bool {
-        self.check_local_stream(input.iter().copied(), asserted.iter().copied())
-    }
-
-    /// Streaming form of [`SumChecker::check_local`]: consumes the input
-    /// and asserted-output streams element-at-a-time, so `n` never needs
-    /// to be materialized — memory stays O(its · d).
-    pub fn check_local_stream<I, J>(&self, input: I, asserted: J) -> bool
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-        J: IntoIterator<Item = (u64, u64)>,
-    {
-        let mut t_in = self.sketch();
-        t_in.update_iter(input);
-        let mut t_out = self.sketch();
-        t_out.update_iter(asserted);
-        t_in.finalize() == t_out.finalize()
-    }
-
-    /// Chunked form of [`SumChecker::check_local`]: folds each side in
-    /// `chunk`-sized batches through fresh sketches and merges them —
-    /// the digest (and verdict) is identical for every chunk size.
-    pub fn check_local_chunked(
-        &self,
-        input: &[(u64, u64)],
-        asserted: &[(u64, u64)],
-        chunk: usize,
-    ) -> bool {
-        let digest = |side: &[(u64, u64)]| {
-            crate::sketch::digest_chunked(|| self.sketch(), side.iter().copied(), chunk)
-        };
-        digest(input) == digest(asserted)
+        let (input, asserted) = (input.iter().copied(), asserted.iter().copied());
+        self.lanes(self.digest(input), self.digest(asserted))
+            .accepts()
     }
 
     /// Distributed check of a sum aggregation (Algorithm 1).
@@ -292,9 +285,10 @@ impl SumChecker {
     /// this PE's share of the asserted output (any distribution, but the
     /// shards must be **disjoint**: each key's aggregate appears exactly
     /// once globally — a replicated output would be double-counted; use
-    /// an empty shard on all but one PE for replicated results). Both
-    /// condensed tables travel in one tree reduction; the verdict is
-    /// broadcast so **every** PE returns the same boolean.
+    /// an empty shard on all but one PE for replicated results). The
+    /// difference of the two condensed tables travels in one tree
+    /// reduction; the verdict is broadcast so **every** PE returns the
+    /// same boolean.
     ///
     /// One-sided error: a correct result is always accepted; an incorrect
     /// one is (erroneously) accepted with probability at most
@@ -305,30 +299,13 @@ impl SumChecker {
         input: &[(u64, u64)],
         asserted: &[(u64, u64)],
     ) -> bool {
-        self.check_distributed_stream(comm, input.iter().copied(), asserted.iter().copied())
+        let (input, asserted) = (input.iter().copied(), asserted.iter().copied());
+        verdict(comm, self.lanes(self.digest(input), self.digest(asserted)))
     }
 
-    /// Streaming form of [`SumChecker::check_distributed`]: each PE folds
-    /// its input and asserted-output streams into constant-size sketches,
-    /// then the digests travel in the usual single tree reduction. The
-    /// communication volume is byte-identical to the slice-based path —
-    /// only the local memory drops from O(n/p) to O(its · d).
-    pub fn check_distributed_stream<I, J>(&self, comm: &mut Comm, input: I, asserted: J) -> bool
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-        J: IntoIterator<Item = (u64, u64)>,
-    {
-        let mut t_in = self.sketch();
-        t_in.update_iter(input);
-        let mut t_out = self.sketch();
-        t_out.update_iter(asserted);
-        self.check_distributed_sketches(comm, t_in, t_out)
-    }
-
-    /// Distributed check over pre-folded sketches — the driver behind
-    /// every distributed sum check. Use this directly when the two
-    /// streams were folded incrementally (e.g. chunk-merged across
-    /// threads) before the collective phase.
+    /// Distributed check over pre-folded sketches, for streams folded
+    /// incrementally (through a [`crate::sketch::Tee`], or chunk-merged
+    /// across threads) before the collective phase.
     ///
     /// # Panics
     /// Panics if either sketch belongs to a different checker instance.
@@ -342,66 +319,7 @@ impl SumChecker {
             std::ptr::eq(input.checker, self) && std::ptr::eq(asserted.checker, self),
             "sketches must come from this checker instance"
         );
-        let mut both = input.finalize();
-        both.extend(asserted.finalize());
-        self.reduce_and_compare(comm, both)
-    }
-
-    /// Count-aggregation check (the "Count Agg." row of Table 1):
-    /// conceptually sum aggregation "where the value of every element is
-    /// mapped to 1" (§4). `input_keys` is this PE's share of input keys;
-    /// `asserted_counts` the asserted per-key counts.
-    pub fn check_count_distributed(
-        &self,
-        comm: &mut Comm,
-        input_keys: &[u64],
-        asserted_counts: &[(u64, u64)],
-    ) -> bool {
-        self.check_distributed_stream(
-            comm,
-            input_keys.iter().map(|&k| (k, 1)),
-            asserted_counts.iter().copied(),
-        )
-    }
-
-    /// Signed-value variant of [`SumChecker::check_distributed`] (median
-    /// checker backend). An empty `asserted` means "all sums are zero".
-    pub fn check_distributed_signed(
-        &self,
-        comm: &mut Comm,
-        input: &[(u64, i64)],
-        asserted: &[(u64, i64)],
-    ) -> bool {
-        let mut t_in = self.sketch();
-        t_in.update_signed_iter(input.iter().copied());
-        let mut t_out = self.sketch();
-        t_out.update_signed_iter(asserted.iter().copied());
-        self.check_distributed_sketches(comm, t_in, t_out)
-    }
-
-    /// Reduce concatenated (input ‖ output) tables to PE 0, compare
-    /// halves there, broadcast the verdict.
-    fn reduce_and_compare(&self, comm: &mut Comm, both: Vec<u64>) -> bool {
-        let d = self.cfg.buckets;
-        let its = self.cfg.iterations;
-        let moduli = &self.moduli;
-        let reduced = comm.reduce(0, both, |a, b| {
-            a.iter()
-                .zip(&b)
-                .enumerate()
-                .map(|(idx, (&x, &y))| {
-                    let r = moduli[(idx / d) % its];
-                    addmod(x, y, r)
-                })
-                .collect()
-        });
-        let verdict_at_root = reduced
-            .map(|t| {
-                let (t_in, t_out) = t.split_at(self.table_len());
-                t_in == t_out
-            })
-            .unwrap_or(false);
-        comm.broadcast(0, verdict_at_root)
+        verdict(comm, self.lanes(input.finalize(), asserted.finalize()))
     }
 }
 
@@ -721,7 +639,8 @@ mod tests {
             let neg: Vec<(u64, i64)> = pairs.iter().map(|&(k, v)| (k, -v)).collect();
             let all: Vec<(u64, i64)> = pairs.into_iter().chain(neg).collect();
             let checker = SumChecker::new(cfg(4, 8, 6), 5);
-            checker.check_distributed_signed(comm, &all, &[])
+            let zero = checker.digest_signed([]);
+            verdict(comm, checker.lanes(checker.digest_signed(all), zero))
         });
         assert!(verdicts.iter().all(|&v| v));
     }
@@ -750,30 +669,25 @@ mod tests {
         let verdicts = run(3, |comm| {
             let rank = comm.rank() as u64;
             let keys: Vec<u64> = (0..90).map(|i| (rank * 90 + i) % 7).collect();
-            // Correct global counts: 270 elements over 7 keys.
+            // Correct global counts: 270 elements over 7 keys, on PE 0.
             let mut counts = [0u64; 7];
-            for r in 0..3u64 {
-                for i in 0..90 {
-                    counts[((r * 90 + i) % 7) as usize] += 1;
-                }
-            }
-            let asserted: Vec<(u64, u64)> = if comm.rank() == 0 {
-                counts
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &c)| (k as u64, c))
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            (0..270).for_each(|g| counts[g % 7] += 1);
+            let shard = if comm.rank() == 0 { 0..7 } else { 0..0 };
+            let asserted: Vec<(u64, u64)> = shard.map(|k| (k as u64, counts[k])).collect();
+            // Count aggregation is sum aggregation with every value 1.
             let checker = SumChecker::new(cfg(4, 16, 9), 3);
-            let ok = checker.check_count_distributed(comm, &keys, &asserted);
+            let count = |comm: &mut Comm, asserted: &[(u64, u64)]| {
+                let ones = checker.digest(keys.iter().map(|&k| (k, 1)));
+                let asserted = checker.digest(asserted.iter().copied());
+                verdict(comm, checker.lanes(ones, asserted))
+            };
+            let ok = count(comm, &asserted);
             // Off-by-one count must be rejected.
             let mut bad = asserted.clone();
             if comm.rank() == 0 {
                 bad[2].1 += 1;
             }
-            let caught = !checker.check_count_distributed(comm, &keys, &bad);
+            let caught = !count(comm, &bad);
             ok && caught
         });
         assert!(verdicts.iter().all(|&v| v));
@@ -857,51 +771,6 @@ mod tests {
         right.update_iter(input[32..].iter().copied());
         left.merge(right);
         assert_eq!(left.finalize(), whole.finalize());
-    }
-
-    #[test]
-    fn streaming_local_check_matches_slice_path() {
-        let input = example_input(500);
-        let output = aggregate(&input);
-        let checker = SumChecker::new(cfg(4, 8, 5), 7);
-        assert!(checker.check_local_stream(input.iter().copied(), output.iter().copied()));
-        assert!(checker.check_local_chunked(&input, &output, 13));
-        let mut bad = output.clone();
-        bad[1].1 += 3;
-        assert!(!checker.check_local_stream(input.iter().copied(), bad.iter().copied()));
-        assert!(!checker.check_local_chunked(&input, &bad, 13));
-    }
-
-    #[test]
-    fn streaming_distributed_volume_identical_to_slice_path() {
-        use ccheck_net::router::run_with_stats;
-        // The sketch path must not move a single extra byte.
-        let run_variant = |streaming: bool| {
-            run_with_stats(4, move |comm| {
-                let rank = comm.rank() as u64;
-                let input: Vec<(u64, u64)> = (0..300u64).map(|i| ((rank + i) % 23, i)).collect();
-                let all: Vec<(u64, u64)> = (0..4u64)
-                    .flat_map(|r| (0..300u64).map(move |i| ((r + i) % 23, i)))
-                    .collect();
-                let full = aggregate(&all);
-                let shard = if comm.rank() == 0 { full } else { Vec::new() };
-                let checker = SumChecker::new(cfg(4, 16, 7), 9);
-                if streaming {
-                    checker.check_distributed_stream(
-                        comm,
-                        input.iter().copied(),
-                        shard.iter().copied(),
-                    )
-                } else {
-                    checker.check_distributed(comm, &input, &shard)
-                }
-            })
-        };
-        let (slice_verdicts, slice_stats) = run_variant(false);
-        let (stream_verdicts, stream_stats) = run_variant(true);
-        assert_eq!(slice_verdicts, stream_verdicts);
-        assert!(slice_verdicts.iter().all(|&v| v));
-        assert_eq!(slice_stats.per_pe(), stream_stats.per_pe());
     }
 
     #[test]

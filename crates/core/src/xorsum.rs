@@ -12,8 +12,8 @@
 //! `1/d` (only the bucket-collision mode of Lemma 2 remains).
 
 use ccheck_hashing::{BucketMap, HasherKind, PartitionedHash};
-use ccheck_net::Comm;
 
+use crate::lanes::{Lanes, Op};
 use crate::sketch::{fold_buckets, for_each_pair_block, for_each_pair_chunk, Sketch};
 
 /// Configuration of the xor-aggregation checker.
@@ -111,73 +111,17 @@ impl XorChecker {
         });
     }
 
-    /// Purely local check (p = 1).
-    pub fn check_local(&self, input: &[(u64, u64)], asserted: &[(u64, u64)]) -> bool {
-        self.check_local_stream(input.iter().copied(), asserted.iter().copied())
-    }
-
-    /// Streaming form of [`XorChecker::check_local`]: consumes both
-    /// streams element-at-a-time in O(its · d) memory.
-    pub fn check_local_stream<I, J>(&self, input: I, asserted: J) -> bool
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-        J: IntoIterator<Item = (u64, u64)>,
-    {
-        let mut t_in = self.sketch();
-        t_in.update_iter(input);
-        let mut t_out = self.sketch();
-        t_out.update_iter(asserted);
-        t_in.finalize() == t_out.finalize()
-    }
-
-    /// Distributed check: condensed tables of input and asserted output
-    /// travel in one xor tree reduction; verdict broadcast to all PEs.
-    pub fn check_distributed(
-        &self,
-        comm: &mut Comm,
-        input: &[(u64, u64)],
-        asserted: &[(u64, u64)],
-    ) -> bool {
-        self.check_distributed_stream(comm, input.iter().copied(), asserted.iter().copied())
-    }
-
-    /// Streaming form of [`XorChecker::check_distributed`]; communication
-    /// is byte-identical to the slice-based path.
-    pub fn check_distributed_stream<I, J>(&self, comm: &mut Comm, input: I, asserted: J) -> bool
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-        J: IntoIterator<Item = (u64, u64)>,
-    {
-        let mut t_in = self.sketch();
-        t_in.update_iter(input);
-        let mut t_out = self.sketch();
-        t_out.update_iter(asserted);
-        self.check_distributed_sketches(comm, t_in, t_out)
-    }
-
-    /// Distributed check over pre-folded sketches (the collective
-    /// driver: one xor tree reduction plus a verdict broadcast).
-    ///
-    /// # Panics
-    /// Panics if either sketch belongs to a different checker instance.
-    pub fn check_distributed_sketches(
-        &self,
-        comm: &mut Comm,
-        input: XorSketch<'_>,
-        asserted: XorSketch<'_>,
-    ) -> bool {
-        assert!(
-            std::ptr::eq(input.checker, self) && std::ptr::eq(asserted.checker, self),
-            "sketches must come from this checker instance"
-        );
+    /// The lanes of a check: `input ⊕ output`, one [`Op::Xor`] row. It is
+    /// zero exactly when the two digests are equal. The local check is
+    /// [`Lanes::accepts`]; the distributed one is [`crate::lanes::verdict`],
+    /// one xor tree reduction plus a one-byte broadcast.
+    pub fn lanes(&self, mut input: Vec<u64>, output: Vec<u64>) -> Lanes {
         let len = self.cfg.iterations * self.cfg.buckets;
-        let mut both = input.finalize();
-        both.extend(asserted.finalize());
-        let reduced = comm.reduce(0, both, |a, b| {
-            a.iter().zip(&b).map(|(x, y)| x ^ y).collect()
-        });
-        let verdict = reduced.map(|t| t[..len] == t[len..]).unwrap_or(false);
-        comm.broadcast(0, verdict)
+        assert_eq!([input.len(), output.len()], [len; 2], "digest lengths");
+        for (x, y) in input.iter_mut().zip(output) {
+            *x ^= y;
+        }
+        Lanes::new(input, vec![(Op::Xor, len)])
     }
 }
 
@@ -221,8 +165,18 @@ impl Sketch for XorSketch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::verdict;
+    use crate::sketch::digest_chunked;
     use ccheck_net::run;
     use std::collections::HashMap;
+
+    /// The lanes of a check of two slices.
+    fn lanes(checker: &XorChecker, input: &[(u64, u64)], asserted: &[(u64, u64)]) -> Lanes {
+        let digest = |side: &[(u64, u64)]| {
+            digest_chunked(|| checker.sketch(), side.iter().copied(), usize::MAX)
+        };
+        checker.lanes(digest(input), digest(asserted))
+    }
 
     fn xor_aggregate(input: &[(u64, u64)]) -> Vec<(u64, u64)> {
         let mut m: HashMap<u64, u64> = HashMap::new();
@@ -243,7 +197,7 @@ mod tests {
         let input: Vec<(u64, u64)> = (0..500u64).map(|i| (i % 31, i * 0x9E37 + 1)).collect();
         let output = xor_aggregate(&input);
         for seed in 0..20 {
-            assert!(XorChecker::new(cfg(), seed).check_local(&input, &output));
+            assert!(lanes(&XorChecker::new(cfg(), seed), &input, &output).accepts());
         }
     }
 
@@ -253,7 +207,7 @@ mod tests {
         let mut bad = xor_aggregate(&input);
         bad[5].1 ^= 0x100;
         let missed = (0..100)
-            .filter(|&seed| XorChecker::new(cfg(), seed).check_local(&input, &bad))
+            .filter(|&seed| lanes(&XorChecker::new(cfg(), seed), &input, &bad).accepts())
             .count();
         assert_eq!(missed, 0, "δ = 16^-4 ≈ 1.5e-5: no misses in 100 trials");
     }
@@ -263,7 +217,7 @@ mod tests {
         let input: Vec<(u64, u64)> = (0..100u64).map(|i| (i % 7, i | 1)).collect();
         let mut bad = xor_aggregate(&input);
         bad.remove(2);
-        assert!(!XorChecker::new(cfg(), 3).check_local(&input, &bad));
+        assert!(!lanes(&XorChecker::new(cfg(), 3), &input, &bad).accepts());
     }
 
     #[test]
@@ -272,7 +226,7 @@ mod tests {
         let input: Vec<(u64, u64)> = vec![(1, 5), (2, 9)];
         let mut output = xor_aggregate(&input);
         output.push((777, 0));
-        assert!(XorChecker::new(cfg(), 1).check_local(&input, &output));
+        assert!(lanes(&XorChecker::new(cfg(), 1), &input, &output).accepts());
     }
 
     #[test]
@@ -295,7 +249,7 @@ mod tests {
             let (a, b) = (bad[10].1, bad[20].1);
             bad[10].1 = b;
             bad[20].1 = a;
-            if XorChecker::new(weak, seed).check_local(&input, &bad) {
+            if lanes(&XorChecker::new(weak, seed), &input, &bad).accepts() {
                 accepted += 1;
             }
         }
@@ -320,7 +274,7 @@ mod tests {
                 if corrupt && comm.rank() == 1 && !shard.is_empty() {
                     shard[0].1 ^= 0x8000;
                 }
-                XorChecker::new(cfg(), 9).check_distributed(comm, &input, &shard)
+                verdict(comm, lanes(&XorChecker::new(cfg(), 9), &input, &shard))
             });
             assert!(verdicts.iter().all(|&v| v != corrupt), "corrupt={corrupt}");
         }
@@ -340,25 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_check_matches_slice_path() {
-        let input: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 19, i | 1)).collect();
-        let output = xor_aggregate(&input);
-        let checker = XorChecker::new(cfg(), 2);
-        assert!(checker.check_local_stream(input.iter().copied(), output.iter().copied()));
-        let mut bad = output.clone();
-        bad[0].1 ^= 2;
-        assert!(!checker.check_local_stream(input.iter().copied(), bad.iter().copied()));
-    }
-
-    #[test]
     fn non_power_of_two_buckets() {
         let c = XorCheckConfig::new(3, 37, HasherKind::Tab64);
         let input: Vec<(u64, u64)> = (0..300u64).map(|i| (i % 41, i | 1)).collect();
         let output = xor_aggregate(&input);
         let checker = XorChecker::new(c, 5);
-        assert!(checker.check_local(&input, &output));
+        assert!(lanes(&checker, &input, &output).accepts());
         let mut bad = output.clone();
         bad[0].1 ^= 1;
-        assert!(!checker.check_local(&input, &bad));
+        assert!(!lanes(&checker, &input, &bad).accepts());
     }
 }

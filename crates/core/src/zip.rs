@@ -8,8 +8,8 @@
 //! is evaluated on *global* indices, each PE computes its partial sum
 //! locally ("computed on the fly and without communication") after one
 //! prefix-sum over the three lengths establishes its global offsets; one
-//! allreduce over every iteration's fingerprint differences gives the
-//! verdict.
+//! reduce of every iteration's fingerprint differences and a one-byte
+//! broadcast give the verdict ([`crate::lanes`]).
 //!
 //! The fingerprint lives in 𝔽_{2⁶¹−1}: `F(S) = Σᵢ h′(i)·h(xᵢ) mod p`,
 //! combined across PEs by field addition. Two sequences agreeing on the
@@ -34,9 +34,9 @@
 
 use ccheck_hashing::field::Mersenne61;
 use ccheck_hashing::{Hasher, HasherKind};
-use ccheck_net::wire::Run;
 use ccheck_net::Comm;
 
+use crate::lanes::{verdict, Lanes, Op};
 use crate::sketch::{for_each_block, Sketch, BLOCK};
 
 /// Configuration of the Zip checker.
@@ -134,11 +134,6 @@ impl ZipChecker {
     /// PE's global offset, which is exactly why a slice-free API must
     /// declare it. Memory is O(iterations) per PE.
     ///
-    /// **Accept rule:** every iteration's `F(s1) − F(z.first)` and
-    /// `F(s2) − F(z.second)`, summed over the PEs, is 0 — the same
-    /// predicate as comparing the four fingerprints, so verdicts and the
-    /// Theorem-11 bound do not depend on how it is evaluated.
-    ///
     /// Each PE walks its three local index ranges once, in lockstep by
     /// global index, cut into at most five segments at their ends. Where
     /// a lane's input and output component are both on this PE, a block
@@ -149,11 +144,12 @@ impl ZipChecker {
     /// at every index of a correct zip that adopts an input's
     /// distribution.
     ///
-    /// **Two collectives**, whatever `iterations` is: one prefix sum over
-    /// the three lengths (24 bytes a message) and one allreduce over the
-    /// `2·iterations` differences as a prefix-free [`Run`]
-    /// (`16·iterations` bytes). Unequal global lengths reject after the
-    /// first, before any stream is consumed.
+    /// **One prefix sum and one verdict**, whatever `iterations` is: the
+    /// prefix sum over the three lengths (24 bytes a message), then
+    /// [`ZipChecker::lanes`] through [`verdict`]: one reduce of the
+    /// `2·iterations` differences (`16·iterations` bytes up) and a
+    /// one-byte broadcast. Unequal global lengths reject after the
+    /// prefix sum, before any stream is consumed.
     ///
     /// # Panics
     /// Panics if a stream yields a different number of elements than
@@ -171,25 +167,26 @@ impl ZipChecker {
         Z: IntoIterator<Item = (u64, u64)>,
     {
         let (starts, [n1, n2, nz]) = comm.exclusive_prefix_sums([s1.0, s2.0, zipped.0]);
-        if n1 != n2 || n1 != nz {
-            return false;
-        }
-        let lanes = self.local_differences(starts, s1, s2, zipped);
-        let Run(lanes) = comm.allreduce(Run(lanes), |a, b| a.zip_with(b, Mersenne61::add));
-        lanes.iter().all(|&difference| difference == 0)
+        n1 == n2 && n1 == nz && verdict(comm, self.lanes(starts, s1, s2, zipped))
     }
 
     /// This PE's share of every iteration's `[F(s1) − F(z.first), F(s2) −
     /// F(z.second)]`, from one lockstep walk over the three local ranges
     /// starting at the global indices `starts` (see
-    /// [`ZipChecker::check_stream`]).
-    fn local_differences<I, J, Z>(
+    /// [`ZipChecker::check_stream`]): one [`Op::AddMod`] row in
+    /// 𝔽_{2⁶¹−1}. At p = 1 (`starts` all 0, equal lengths) its
+    /// [`Lanes::accepts`] is the local check.
+    ///
+    /// # Panics
+    /// Panics if a stream yields a different number of elements than
+    /// declared.
+    pub fn lanes<I, J, Z>(
         &self,
         [s1_start, s2_start, z_start]: [u64; 3],
         (n1, s1): (u64, I),
         (n2, s2): (u64, J),
         (nz, zipped): (u64, Z),
-    ) -> Vec<u64>
+    ) -> Lanes
     where
         I: IntoIterator<Item = u64>,
         J: IntoIterator<Item = u64>,
@@ -251,9 +248,11 @@ impl ZipChecker {
         assert!(s1.next().is_none(), "{S1}");
         assert!(s2.next().is_none(), "{S2}");
         assert!(zipped.next().is_none(), "{ZIPPED}");
-        (0..self.cfg.iterations)
+        let differences = (0..self.cfg.iterations)
             .flat_map(|i| lanes.each_ref().map(|lane| lane.difference(i)))
-            .collect()
+            .collect();
+        let row = (Op::AddMod(Mersenne61::P), 2 * self.cfg.iterations);
+        Lanes::new(differences, vec![row])
     }
 }
 
@@ -448,34 +447,16 @@ mod tests {
     }
 
     /// Distribute zipped pairs with a *different* (skewed) distribution
-    /// than the inputs, preserving the global rank-concatenation order.
+    /// than the inputs, preserving the global rank-concatenation order:
+    /// PE 0 takes a double share, the last PE the remainder.
     fn chunk_pairs(v: &[(u64, u64)], rank: usize, p: usize) -> Vec<(u64, u64)> {
-        // PE 0 takes a double share, the last PE the remainder.
-        let n = v.len();
-        let base = n / (p + 1);
-        let bounds: Vec<usize> = (0..=p)
-            .map(|r| {
-                if r == 0 {
-                    0
-                } else {
-                    (2 * base + (r - 1) * base).min(n)
-                }
-            })
-            .map(|b| {
-                if p == 1 {
-                    if b == 0 {
-                        0
-                    } else {
-                        n
-                    }
-                } else {
-                    b
-                }
-            })
-            .collect();
-        let start = bounds[rank];
-        let end = if rank + 1 == p { n } else { bounds[rank + 1] };
-        v[start..end].to_vec()
+        let (n, base) = (v.len(), v.len() / (p + 1));
+        let bound = |r: usize| match r {
+            0 => 0,
+            _ if r == p => n,
+            _ => ((r + 1) * base).min(n),
+        };
+        v[bound(rank)..bound(rank + 1)].to_vec()
     }
 
     #[test]
@@ -622,7 +603,8 @@ mod tests {
     #[test]
     fn every_lane_of_the_one_allreduce_is_compared() {
         // One changed component must be caught through its own lane pair
-        // at 1, 4 and 16 iterations, and a correct zip accepted.
+        // of the verdict's one reduction at 1, 4 and 16 iterations, and a
+        // correct zip accepted.
         let n = 90usize;
         let s1: Vec<u64> = (0..n as u64).map(|i| i * 3).collect();
         let s2: Vec<u64> = (0..n as u64).map(|i| 7_000 + i).collect();

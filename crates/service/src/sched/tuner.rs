@@ -22,7 +22,8 @@ use crate::job::Verdict;
 /// The escalation ladder, cheapest first: `(its, buckets, log2_rhat)`.
 ///
 /// Rung 0 is the paper's minimal always-on sentinel (one iteration of a
-/// tiny sketch); the top rung buys ~2⁻³⁸⁴-ish failure probability for
+/// tiny sketch); the top rung bounds the failure probability by
+/// `(2⁻²⁴ + 2⁻¹⁰)¹⁶ ≈ 2⁻¹⁶⁰` (`SumCheckConfig::failure_bound`) for
 /// tenants whose pipelines keep producing corrupt outputs. All values
 /// sit inside the `JobSpec::validate` bounds (iterations ≤ 64, buckets
 /// a power of two in 2..=65536, `log₂ r̂` in 1..=62).
@@ -128,6 +129,21 @@ mod tests {
                 .unwrap_or_else(|e| panic!("ladder rung ({its},{buckets},{log2_rhat}): {e}"));
         }
         assert!(START_LEVEL < LADDER.len());
+    }
+
+    #[test]
+    fn ladder_failure_bound_strictly_decreases_to_two_to_the_minus_160() {
+        use ccheck::SumCheckConfig;
+        use ccheck_hashing::HasherKind;
+        let bounds: Vec<f64> = LADDER
+            .iter()
+            .map(|&(its, d, m)| {
+                SumCheckConfig::new(its as usize, d as usize, m, HasherKind::Tab64).failure_bound()
+            })
+            .collect();
+        assert!(bounds.windows(2).all(|w| w[1] < w[0]), "{bounds:?}");
+        let top = bounds.last().unwrap().log2().floor();
+        assert_eq!(top, -160.0, "{bounds:?}");
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //! random partition of the input into chunks, folding the chunks
 //! through fresh sketches and merging produces (a) the same digest and
 //! (b) the same accept/reject verdict as the one-shot slice-based
-//! `check_local` — and the distributed streaming path reproduces the
-//! slice path's verdict *and its exact communication volume* on both
-//! transports ([`ccheck_net::testing::run_both`] asserts local ≡ TCP
-//! byte-for-byte on every run below).
+//! `check_local` — and the distributed check of chunk-folded sketches
+//! reproduces the slice path's verdict *and its exact communication
+//! volume* on both transports ([`ccheck_net::testing::run_both`] asserts
+//! local ≡ TCP byte-for-byte on every run below).
 
 use ccheck::config::SumCheckConfig;
+use ccheck::lanes::verdict;
 use ccheck::permutation::PermCheckConfig;
-use ccheck::sketch::Sketch;
+use ccheck::sketch::{digest_chunked, Sketch};
 use ccheck::{PermChecker, SumChecker, XorCheckConfig, XorChecker, ZipCheckConfig, ZipChecker};
 use ccheck_hashing::HasherKind;
 use ccheck_net::testing::run_both_with_stats;
@@ -90,24 +91,31 @@ proptest! {
         }
         let slice_verdict = checker.check_local(&pairs, &asserted);
         for &chunk in &[1usize, sizes[0], usize::MAX] {
+            let digest = |side: &[(u64, u64)]| {
+                digest_chunked(|| checker.sketch(), side.iter().copied(), chunk)
+            };
             prop_assert_eq!(
-                checker.check_local_chunked(&pairs, &asserted, chunk),
+                checker.lanes(digest(&pairs), digest(&asserted)).accepts(),
                 slice_verdict
             );
         }
 
-        // Distributed: stream vs slice, both transports, same bytes.
+        // Distributed: chunk-folded sketches vs slices, both transports,
+        // same bytes.
         let cfg = SumCheckConfig::new(4, 8, 5, HasherKind::Tab64);
         let run_variant = |streaming: bool| {
             let pairs = pairs.clone();
             let asserted = asserted.clone();
+            let sizes = sizes.clone();
             run_both_with_stats(2, move |comm| {
                 let input = shard(&pairs, comm.rank(), 2);
                 let out = if comm.rank() == 0 { asserted.clone() } else { Vec::new() };
                 let checker = SumChecker::new(cfg, seed);
                 if streaming {
-                    checker.check_distributed_stream(
-                        comm, input.iter().copied(), out.iter().copied())
+                    let fold = |side: &[(u64, u64)]| {
+                        fold_partition(|| checker.sketch(), &partition(side, &sizes))
+                    };
+                    checker.check_distributed_sketches(comm, fold(&input), fold(&out))
                 } else {
                     checker.check_distributed(comm, &input, &out)
                 }
@@ -147,31 +155,40 @@ proptest! {
         if corrupt {
             asserted[0].1 ^= 0x100;
         }
-        let slice_verdict = checker.check_local(&pairs, &asserted);
+        let one_shot = |side: &[(u64, u64)]| {
+            digest_chunked(|| checker.sketch(), side.iter().copied(), usize::MAX)
+        };
+        let slice_verdict = checker.lanes(one_shot(&pairs), one_shot(&asserted)).accepts();
+        prop_assert_eq!(slice_verdict, !corrupt);
+        let merged = |side: &[(u64, u64)]| {
+            fold_partition(|| checker.sketch(), &partition(side, &sizes)).finalize()
+        };
         prop_assert_eq!(
-            checker.check_local_stream(pairs.iter().copied(), asserted.iter().copied()),
+            checker.lanes(merged(&pairs), merged(&asserted)).accepts(),
             slice_verdict
         );
 
         let run_variant = |streaming: bool| {
             let pairs = pairs.clone();
             let asserted = asserted.clone();
+            let sizes = sizes.clone();
             run_both_with_stats(2, move |comm| {
                 let input = shard(&pairs, comm.rank(), 2);
                 let out = if comm.rank() == 0 { asserted.clone() } else { Vec::new() };
                 let checker = XorChecker::new(
                     XorCheckConfig::new(4, 16, HasherKind::Tab64), seed);
-                if streaming {
-                    checker.check_distributed_stream(
-                        comm, input.iter().copied(), out.iter().copied())
+                let digest = |side: &[(u64, u64)]| if streaming {
+                    fold_partition(|| checker.sketch(), &partition(side, &sizes)).finalize()
                 } else {
-                    checker.check_distributed(comm, &input, &out)
-                }
+                    digest_chunked(|| checker.sketch(), side.iter().copied(), usize::MAX)
+                };
+                verdict(comm, checker.lanes(digest(&input), digest(&out)))
             })
         };
         let (slice_verdicts, slice_stats) = run_variant(false);
         let (stream_verdicts, stream_stats) = run_variant(true);
         prop_assert_eq!(&slice_verdicts, &stream_verdicts);
+        prop_assert!(slice_verdicts.iter().all(|&v| v == slice_verdict));
         prop_assert_eq!(slice_stats.per_pe(), stream_stats.per_pe());
     }
 
@@ -202,21 +219,27 @@ proptest! {
             prop_assert_eq!(&merged, &one_shot.finalize());
 
             let slice_verdict = checker.check_local(&data, &output);
+            let digest = |side: &[u64]| {
+                digest_chunked(|| checker.sketch(), side.iter().copied(), sizes[0])
+            };
             prop_assert_eq!(
-                checker.check_local_chunked(&data, &output, sizes[0]),
+                checker.lanes(digest(&data), digest(&output)).accepts(),
                 slice_verdict
             );
 
             let run_variant = |streaming: bool| {
                 let data = data.clone();
                 let output = output.clone();
+                let sizes = sizes.clone();
                 run_both_with_stats(2, move |comm| {
                     let input = shard(&data, comm.rank(), 2);
                     let out = shard(&output, comm.rank(), 2);
                     let checker = PermChecker::new(cfg, seed);
                     if streaming {
-                        checker.check_stream(
-                            comm, input.iter().copied(), out.iter().copied())
+                        let fold = |side: &[u64]| {
+                            fold_partition(|| checker.sketch(), &partition(side, &sizes))
+                        };
+                        checker.check_distributed_sketches(comm, fold(&input), fold(&out))
                     } else {
                         checker.check(comm, &input, &out)
                     }

@@ -136,8 +136,9 @@ proptest! {
         prop_assert!(verdicts.iter().all(|&v| v));
     }
 
-    /// Signed condense is a homomorphism: condensing a+b equals
-    /// combining condense(a) and condense(b).
+    /// Signed condense is a homomorphism: the lanes of condense(a ++ b)
+    /// equal the merged lanes of condense(a) and condense(b) — the
+    /// combine step of the distributed verdict.
     #[test]
     fn condense_is_additive_homomorphism(
         a in prop::collection::vec((0u64..100, -1000i64..1000), 0..100),
@@ -151,13 +152,16 @@ proptest! {
         let joined: Vec<(u64, i64)> = a.iter().chain(&b).copied().collect();
         checker.condense_signed(&joined, &mut t_ab);
         checker.finalize(&mut t_ab);
-        // combine(condense(a), condense(b))
+        // merge(lanes(condense(a)), lanes(condense(b)))
         let mut t_a = checker.new_table();
         let mut t_b = checker.new_table();
         checker.condense_signed(&a, &mut t_a);
         checker.condense_signed(&b, &mut t_b);
         checker.finalize(&mut t_a);
         checker.finalize(&mut t_b);
-        prop_assert_eq!(t_ab, checker.combine(&t_a, &t_b));
+        let zero = checker.new_table();
+        let mut merged = checker.lanes(t_a, zero.clone());
+        merged.merge(&checker.lanes(t_b, zero.clone()));
+        prop_assert_eq!(checker.lanes(t_ab, zero), merged);
     }
 }

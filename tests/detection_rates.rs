@@ -4,10 +4,19 @@
 //! Chernoff slack, and weak configurations must show the *predicted*
 //! non-trivial failure rates (confirming the bounds are tight, not just
 //! satisfied vacuously).
+//!
+//! Every trial also holds a check's verdict — [`Lanes::accepts`] on the
+//! lanes of the difference of its input's and output's digests — to the
+//! predicate it replaced, the two finalized digests being equal (for
+//! zip: the four per-iteration fingerprints), whether or not the
+//! manipulation took effect: sum (unsigned, and signed over the median
+//! checker's ±1 streams), xor, all three permutation methods and zip.
 
 use ccheck::config::SumCheckConfig;
-use ccheck::permutation::PermCheckConfig;
-use ccheck::{PermChecker, SumChecker, ZipCheckConfig, ZipChecker};
+use ccheck::lanes::Lanes;
+use ccheck::permutation::{PermCheckConfig, PermMethod};
+use ccheck::sketch::{digest_chunked, Sketch};
+use ccheck::{PermChecker, SumChecker, XorCheckConfig, XorChecker, ZipCheckConfig, ZipChecker};
 use ccheck_hashing::HasherKind;
 use ccheck_manip::{PermManipulator, SumManipulator, ZipManipulator};
 use ccheck_workloads::{uniform_ints, zipf_valued_pairs};
@@ -23,11 +32,104 @@ fn aggregate(input: &[(u64, u64)]) -> Vec<(u64, u64)> {
     out
 }
 
+/// The verdict of one check, `old` — the predicate the check used to
+/// evaluate: its two finalized digests are equal (for zip, its four
+/// fingerprints pairwise) — after asserting that `lanes`, their
+/// difference, accept exactly when it holds.
+fn same_verdict(old: bool, lanes: Lanes, what: &str) -> bool {
+    assert_eq!(
+        lanes.accepts(),
+        old,
+        "{what}: the lanes and the digests disagree"
+    );
+    old
+}
+
+/// The sum check's verdict, held to the digest predicate.
+fn sum_verdict(checker: &SumChecker, input: &[(u64, u64)], output: &[(u64, u64)]) -> bool {
+    let digest =
+        |side: &[(u64, u64)]| digest_chunked(|| checker.sketch(), side.iter().copied(), usize::MAX);
+    let (a, b) = (digest(input), digest(output));
+    same_verdict(a == b, checker.lanes(a, b), "sum")
+}
+
+/// The signed sum check of a ±1 stream against an all-zero target (the
+/// median checker's balance), held to the digest predicate.
+fn signed_verdict(checker: &SumChecker, signs: &[(u64, i64)]) -> bool {
+    let digest = |side: &[(u64, i64)]| {
+        let mut sketch = checker.sketch();
+        sketch.update_signed_iter(side.iter().copied());
+        sketch.finalize()
+    };
+    let (a, b) = (digest(signs), digest(&[]));
+    same_verdict(a == b, checker.lanes(a, b), "signed sum")
+}
+
+/// The xor check's verdict, held to the digest predicate.
+fn xor_verdict(checker: &XorChecker, input: &[(u64, u64)], output: &[(u64, u64)]) -> bool {
+    let digest =
+        |side: &[(u64, u64)]| digest_chunked(|| checker.sketch(), side.iter().copied(), usize::MAX);
+    let (a, b) = (digest(input), digest(output));
+    same_verdict(a == b, checker.lanes(a, b), "xor")
+}
+
+/// The permutation check's verdict, held to the digest predicate.
+fn perm_verdict(checker: &PermChecker, input: &[u64], output: &[u64]) -> bool {
+    let digest =
+        |side: &[u64]| digest_chunked(|| checker.sketch(), side.iter().copied(), usize::MAX);
+    let (a, b) = (digest(input), digest(output));
+    let what = format!("{:?}", checker.config().method);
+    same_verdict(a == b, checker.lanes(a, b), &what)
+}
+
+/// Every key's median as the median checker computes it (the mean of
+/// the two middle values for an even count).
+fn medians(input: &[(u64, u64)]) -> HashMap<u64, f64> {
+    let mut by_key: HashMap<u64, Vec<u64>> = HashMap::new();
+    for &(k, v) in input {
+        by_key.entry(k).or_default().push(v);
+    }
+    by_key
+        .into_iter()
+        .map(|(k, mut vs)| {
+            vs.sort_unstable();
+            let n = vs.len();
+            let m = (vs[(n - 1) / 2] as f64 + vs[n / 2] as f64) / 2.0;
+            (k, m)
+        })
+        .collect()
+}
+
+/// Algorithm 2's ±1 stream of `pairs` against `medians`: −1 below its
+/// key's median, +1 above; equal values and unknown keys add nothing.
+fn median_signs(pairs: &[(u64, u64)], medians: &HashMap<u64, f64>) -> Vec<(u64, i64)> {
+    pairs
+        .iter()
+        .filter_map(|&(k, v)| {
+            let m = *medians.get(&k)?;
+            let v = v as f64;
+            (v != m).then_some((k, if v < m { -1 } else { 1 }))
+        })
+        .collect()
+}
+
 /// Measured false-accept rate of `cfg` under `manip` over `trials`
 /// effective manipulations.
+///
+/// Each trial also runs, on the same manipulated input, the xor checker
+/// of the same shape against the xor aggregate and the signed sum
+/// checker over the ±1 stream against the input's medians, for their
+/// predicate-equivalence assertions.
 fn sum_false_accept_rate(cfg: SumCheckConfig, manip: SumManipulator, trials: u64) -> f64 {
     let input = zipf_valued_pairs(1, 50_000, 1 << 32, 0..5_000);
     let correct = aggregate(&input);
+    let mut xor_correct: HashMap<u64, u64> = HashMap::new();
+    for &(k, v) in &input {
+        *xor_correct.entry(k).or_insert(0) ^= v;
+    }
+    let xor_correct: Vec<(u64, u64)> = xor_correct.into_iter().collect();
+    let medians = medians(&input);
+    let xor_cfg = XorCheckConfig::new(cfg.iterations, cfg.buckets, cfg.hasher);
     let mut failures = 0u64;
     let mut effective = 0u64;
     let mut seed = 0u64;
@@ -36,11 +138,18 @@ fn sum_false_accept_rate(cfg: SumCheckConfig, manip: SumManipulator, trials: u64
         let s = seed;
         seed += 1;
         assert!(seed < 100 * trials, "manipulator starved");
-        if !manip.apply(&mut bad, s) {
+        let applied = manip.apply(&mut bad, s);
+        let accepted = sum_verdict(&SumChecker::new(cfg, s ^ 0xD157), &bad, &correct);
+        xor_verdict(&XorChecker::new(xor_cfg, s ^ 0xD157), &bad, &xor_correct);
+        signed_verdict(
+            &SumChecker::new(cfg, s ^ 0xBA1A),
+            &median_signs(&bad, &medians),
+        );
+        if !applied {
             continue;
         }
         effective += 1;
-        if SumChecker::new(cfg, s ^ 0xD157).check_local(&bad, &correct) {
+        if accepted {
             failures += 1;
         }
     }
@@ -86,6 +195,7 @@ fn weak_sum_config_failure_rate_is_nontrivial() {
 #[test]
 fn perm_checker_meets_delta_bounds() {
     let input = uniform_ints(2, 100_000_000, 0..5_000);
+    let reversed: Vec<u64> = input.iter().rev().copied().collect();
     for log_h in [1u32, 2, 4] {
         let delta = (0.5f64).powi(log_h as i32);
         let trials = 400u64;
@@ -97,12 +207,25 @@ fn perm_checker_meets_delta_bounds() {
                 let mut bad = input.clone();
                 let s = seed;
                 seed += 1;
-                if !manip.apply(&mut bad, s) {
+                let applied = manip.apply(&mut bad, s);
+                let cfg = PermCheckConfig::hash_sum(HasherKind::Tab32, log_h);
+                let accepted = perm_verdict(&PermChecker::new(cfg, s ^ 0x9E37), &input, &bad);
+                // The polynomial methods on the same trial and on a true
+                // permutation, for their predicate-equivalence assertions.
+                for method in [PermMethod::PolyField, PermMethod::PolyGf64] {
+                    let cfg = PermCheckConfig {
+                        method,
+                        iterations: 1 + log_h as usize / 2,
+                    };
+                    let poly = PermChecker::new(cfg, s ^ 0x9E37);
+                    perm_verdict(&poly, &input, &bad);
+                    assert!(perm_verdict(&poly, &input, &reversed));
+                }
+                if !applied {
                     continue;
                 }
                 effective += 1;
-                let cfg = PermCheckConfig::hash_sum(HasherKind::Tab32, log_h);
-                if PermChecker::new(cfg, s ^ 0x9E37).check_local(&input, &bad) {
+                if accepted {
                     failures += 1;
                 }
             }
@@ -132,10 +255,8 @@ fn perm_iterations_square_the_failure_probability() {
         let mut failures = 0;
         for s in 0..trials {
             let mut bad = input.clone();
-            if !PermManipulator::Randomize.apply(&mut bad, s) {
-                continue;
-            }
-            if PermChecker::new(cfg, s).check_local(&input, &bad) {
+            let applied = PermManipulator::Randomize.apply(&mut bad, s);
+            if perm_verdict(&PermChecker::new(cfg, s), &input, &bad) && applied {
                 failures += 1;
             }
         }
@@ -170,11 +291,13 @@ fn slices_of_one_tabulation_word_are_independent_iterations() {
             let mut bad = input.clone();
             let s = seed;
             seed += 1;
-            if !PermManipulator::Randomize.apply(&mut bad, s) {
+            let applied = PermManipulator::Randomize.apply(&mut bad, s);
+            let accepted = perm_verdict(&PermChecker::new(cfg, s ^ 0x511C), &input, &bad);
+            if !applied {
                 continue;
             }
             effective += 1;
-            if PermChecker::new(cfg, s ^ 0x511C).check_local(&input, &bad) {
+            if accepted {
                 misses += 1;
             }
         }
@@ -203,10 +326,35 @@ fn one_sidedness_over_many_seeds() {
     for seed in 0..300 {
         let cfg = SumCheckConfig::new(2, 4, 4, HasherKind::Crc32c);
         assert!(
-            SumChecker::new(cfg, seed).check_local(&input, &correct),
+            sum_verdict(&SumChecker::new(cfg, seed), &input, &correct),
             "correct result rejected at seed {seed}"
         );
     }
+}
+
+/// Whether the zip check of whole sequences (p = 1), its lanes, agrees
+/// with the predicate it replaced: per iteration, `F(s1) = F(z.first)`
+/// and `F(s2) = F(z.second)` over the four fingerprints. A bool rather
+/// than an assertion, since it runs inside an SPMD region, where a panic
+/// on one PE would leave the others waiting.
+fn zip_lanes_agree(checker: &ZipChecker, s1: &[u64], s2: &[u64], zipped: &[(u64, u64)]) -> bool {
+    let fingerprints = |lane: usize, items: &mut dyn Iterator<Item = u64>| {
+        let mut sketch = checker.sketch(lane, 0);
+        sketch.update_iter(items);
+        sketch.finalize().2
+    };
+    let firsts = fingerprints(0, &mut zipped.iter().map(|&(x, _)| x));
+    let seconds = fingerprints(1, &mut zipped.iter().map(|&(_, y)| y));
+    let old = fingerprints(0, &mut s1.iter().copied()) == firsts
+        && fingerprints(1, &mut s2.iter().copied()) == seconds;
+    let n = |len: usize| len as u64;
+    let lanes = checker.lanes(
+        [0; 3],
+        (n(s1.len()), s1.iter().copied()),
+        (n(s2.len()), s2.iter().copied()),
+        (n(zipped.len()), zipped.iter().copied()),
+    );
+    lanes.accepts() == old
 }
 
 /// The contiguous share `bounds[rank]..bounds[rank + 1]` of `v`.
@@ -267,13 +415,22 @@ fn zip_checker_rejects_every_manipulation_and_accepts_every_clean_zip() {
                 if all_paths(&zipped) != (true, true, true) {
                     wrong.push(format!("clean zip rejected, trial {trial}"));
                 }
+                if rank == 0 && !zip_lanes_agree(&checker, &s1, &s2, &zipped) {
+                    wrong.push(format!("lanes disagree on the clean zip, trial {trial}"));
+                }
                 for manip in ZipManipulator::all() {
                     // The first seed of this trial's sequence under which
-                    // the manipulation really changes a lane.
+                    // the manipulation really changes a lane; every seed
+                    // tried holds the lanes to the fingerprints.
                     let bad = (0..)
                         .find_map(|retry| {
                             let mut bad = zipped.clone();
-                            manip.apply(&mut bad, trial + retry * TRIALS).then_some(bad)
+                            let applied = manip.apply(&mut bad, trial + retry * TRIALS);
+                            if rank == 0 && !zip_lanes_agree(&checker, &s1, &s2, &bad) {
+                                let label = manip.label();
+                                wrong.push(format!("lanes disagree under {label}, trial {trial}"));
+                            }
+                            applied.then_some(bad)
                         })
                         .expect("unbounded retries");
                     if all_paths(&bad) != (false, false, false) {
