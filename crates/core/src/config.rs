@@ -63,7 +63,9 @@ impl SumCheckConfig {
     /// Size of the minireduction table in bits: `its · d · ⌈log₂ 2r̂⌉`
     /// (each bucket holds a value `< 2r̂`, i.e. `m+1` bits) — the
     /// "table size" column of Table 3 and the message-size budget `b`
-    /// of Table 2.
+    /// of Table 2. It is literally what the distributed check sends:
+    /// [`crate::lanes::verdict`] packs each bucket in `m + 1` bits, so a
+    /// reduction hop carries `⌈table_bits / 8⌉` bytes.
     pub fn table_bits(&self) -> u64 {
         self.iterations as u64 * self.buckets as u64 * (u64::from(self.log2_rhat) + 1)
     }

@@ -6,9 +6,13 @@
 //! hashing the data in question with a random hash function, and
 //! comparing the hash values of all other PEs."
 //!
-//! [`replicated_consistent`] does exactly that: PE 0 broadcasts its
-//! fingerprint, every PE compares, and an AND-all-reduce gathers the
-//! verdict — `O(k + α·log p)` as in the paper.
+//! [`replica_matches_root`] does the first half: PE 0 broadcasts its
+//! fingerprint and every PE compares. A checker whose verdict is a
+//! collective anyway carries that bool in it (a
+//! [`Lanes::veto`](crate::Lanes::veto) or its `all_agree`), so comparing
+//! the replicas costs one broadcast and no round of its own.
+//! [`replicated_consistent`] adds an AND-all-reduce for callers with no
+//! such collective — `O(k + α·log p)` as in the paper.
 
 use ccheck_net::wire::Wire;
 use ccheck_net::Comm;
@@ -29,13 +33,21 @@ pub fn fingerprint_bytes(seed: u64, data: &[u8]) -> u64 {
     acc ^ (acc >> 32)
 }
 
-/// Verify that a replicated value is bitwise identical on every PE.
-/// Every PE returns the same verdict.
+/// Whether this PE's replica of `value` matches PE 0's: PE 0 broadcasts
+/// its fingerprint and each PE compares its own. One broadcast; the
+/// answer is local, and the replicas agree everywhere iff it is true on
+/// every PE.
+pub fn replica_matches_root<T: Wire>(comm: &mut Comm, value: &T, seed: u64) -> bool {
+    let local_fp = fingerprint_bytes(seed, &ccheck_net::wire::encode(value));
+    comm.broadcast(0, local_fp) == local_fp
+}
+
+/// Verify that a replicated value is bitwise identical on every PE:
+/// [`replica_matches_root`] and an AND-all-reduce. Every PE returns the
+/// same verdict.
 pub fn replicated_consistent<T: Wire>(comm: &mut Comm, value: &T, seed: u64) -> bool {
-    let bytes = ccheck_net::wire::encode(value);
-    let local_fp = fingerprint_bytes(seed, &bytes);
-    let root_fp = comm.broadcast(0, local_fp);
-    comm.all_agree(root_fp == local_fp)
+    let matches = replica_matches_root(comm, value, seed);
+    comm.all_agree(matches)
 }
 
 #[cfg(test)]

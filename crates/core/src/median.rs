@@ -21,7 +21,7 @@
 use ccheck_net::Comm;
 
 use crate::config::SumCheckConfig;
-use crate::integrity::replicated_consistent;
+use crate::integrity::replica_matches_root;
 use crate::lanes::{verdict, Lanes};
 use crate::sum::SumChecker;
 
@@ -81,7 +81,8 @@ fn check_median_impl(
 ) -> bool {
     /// Wire form of the replicated (medians, certificates) payload.
     type Replicated = (Vec<(u64, u64)>, Vec<(u64, u64, u64)>);
-    // Replicated data must be consistent across PEs (§2).
+    // Replicated data must be consistent across PEs (§2); a replica that
+    // differs from PE 0's vetoes the verdict.
     let encodable: Replicated = (
         asserted.iter().map(|&(k, m)| (k, m.to_bits())).collect(),
         certs
@@ -92,10 +93,10 @@ fn check_median_impl(
             })
             .unwrap_or_default(),
     );
-    let replicas_ok = replicated_consistent(comm, &encodable, seed ^ 0x6D65_6469_616E);
+    let replica_ok = replica_matches_root(comm, &encodable, seed ^ 0x6D65_6469_616E);
 
-    let mut local_ok = certs
-        .is_none_or(|cs| asserted.len() == cs.len() && cs.iter().all(|c| c.eq_at <= 1))
+    let mut local_ok = replica_ok
+        && certs.is_none_or(|cs| asserted.len() == cs.len() && cs.iter().all(|c| c.eq_at <= 1))
         && asserted.windows(2).all(|w| w[0].0 < w[1].0);
 
     // Map elements to the two signed streams of Algorithm 2 (extended
@@ -154,7 +155,7 @@ fn check_median_impl(
         let equals_target = targets(|c| (c.eq_below + c.eq_above + c.eq_at) as i64);
         lanes = lanes.concat(signed(seed ^ 0xE9A1, equals, equals_target));
     }
-    verdict(comm, lanes) && replicas_ok
+    verdict(comm, lanes)
 }
 
 #[cfg(test)]
@@ -341,6 +342,25 @@ mod tests {
             check_median_unique(comm, &inputs[comm.rank()], &mine, cfg(), 3)
         });
         assert!(verdicts.iter().all(|&v| !v));
+    }
+
+    #[test]
+    fn a_replica_that_only_the_fingerprint_tells_apart_rejects() {
+        // PE 1's copy has one more key that no input holds: its local
+        // tests and the sum check pass, so only the replica veto rejects.
+        let inputs = unique_inputs(2);
+        let all: Vec<(u64, u64)> = inputs.iter().flatten().copied().collect();
+        let medians = true_medians(&all);
+        for extra in [false, true] {
+            let verdicts = run(2, |comm| {
+                let mut mine = medians.clone();
+                if extra && comm.rank() == 1 {
+                    mine.push((u64::MAX, 5.0));
+                }
+                check_median_unique(comm, &inputs[comm.rank()], &mine, cfg(), 3)
+            });
+            assert_eq!(verdicts, [!extra; 2]);
+        }
     }
 
     #[test]

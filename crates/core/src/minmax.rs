@@ -19,7 +19,7 @@
 
 use ccheck_net::Comm;
 
-use crate::integrity::replicated_consistent;
+use crate::integrity::replica_matches_root;
 
 /// Which extremum an [`check_extrema`] call verifies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,15 +46,14 @@ pub fn check_extrema(
     asserted: &[(u64, u64)],
     locations: &[(u64, u64)],
 ) -> bool {
-    // Replicas must agree everywhere (result integrity, §2). The seed is
+    // Replicas must agree everywhere (result integrity, §2): a replica
+    // that differs from PE 0's fails the local tests. The seed is
     // arbitrary but shared; integrity failure probability is ~2^-64.
-    let replicas_ok = replicated_consistent(
+    let mut local_ok = replica_matches_root(
         comm,
         &(asserted.to_vec(), locations.to_vec()),
         0x6D69_6E6D_6178,
     );
-
-    let mut local_ok = true;
 
     // The certificate must cover exactly the asserted key set, ordered.
     if asserted.len() != locations.len()
@@ -126,7 +125,7 @@ pub fn check_extrema(
         }
     }
 
-    comm.all_agree(local_ok) && replicas_ok
+    comm.all_agree(local_ok)
 }
 
 /// Certificate-free min/max check with `O(n/p + β·k + α·log p)` cost —
@@ -147,11 +146,11 @@ pub fn check_extrema_bitvector(
     input: &[(u64, u64)],
     asserted: &[(u64, u64)],
 ) -> bool {
-    let replicas_ok = replicated_consistent(comm, &asserted.to_vec(), 0x6269_7476_6563);
+    let replica_ok = replica_matches_root(comm, &asserted.to_vec(), 0x6269_7476_6563);
     let sorted_ok = asserted.windows(2).all(|w| w[0].0 < w[1].0);
 
     // Property (a) + key coverage, locally.
-    let mut local_ok = sorted_ok;
+    let mut local_ok = replica_ok && sorted_ok;
     let k = asserted.len();
     let mut witness_bits = vec![0u64; k.div_ceil(64)];
     if local_ok {
@@ -188,7 +187,7 @@ pub fn check_extrema_bitvector(
         a
     });
     let all_witnessed = (0..k).all(|i| merged[i / 64] & (1 << (i % 64)) != 0);
-    comm.all_agree(local_ok) && all_witnessed && replicas_ok
+    comm.all_agree(local_ok) && all_witnessed
 }
 
 /// Convenience wrapper for minimum aggregation.
@@ -318,6 +317,29 @@ mod tests {
             check_min(comm, &inputs[comm.rank()], &my_asserted, &locations)
         });
         assert!(verdicts.iter().all(|&v| !v));
+    }
+
+    #[test]
+    fn a_replica_that_only_the_fingerprint_tells_apart_rejects() {
+        // PE 1's copies name one more key, held by PE 0 as far as PE 1
+        // knows: every local test passes, so only the replica comparison
+        // in the all_agree rejects. The bitvector check's own witness
+        // test fails on PE 1 alone; the comparison makes that unanimous.
+        let (inputs, asserted, locations) = make_instance(2);
+        for extra in [false, true] {
+            let verdicts = run(2, |comm| {
+                let (mut asserted, mut locations) = (asserted.clone(), locations.clone());
+                if extra && comm.rank() == 1 {
+                    asserted.push((999, 1));
+                    locations.push((999, 0));
+                }
+                let input = &inputs[comm.rank()];
+                let certified = check_min(comm, input, &asserted, &locations);
+                let bitvector = check_extrema_bitvector(comm, Extremum::Min, input, &asserted);
+                [certified, bitvector]
+            });
+            assert_eq!(verdicts, [[!extra; 2]; 2]);
+        }
     }
 
     #[test]

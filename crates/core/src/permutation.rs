@@ -30,6 +30,15 @@
 //! hashers at `log_h = 32`, and every single-iteration check — the
 //! fingerprints are unchanged. The block fold hashes a block once per
 //! word and sums each iteration's slot of it.
+//!
+//! The verdict packs every lane at its combiner's width
+//! ([`Op::bits`](crate::lanes::Op::bits)): a `PolyField` product in 61
+//! bits, but a hash-sum difference in the full 128. Narrowing that lane
+//! to `w` bits would reduce the sums mod 2ʷ, and two multisets whose
+//! exact sums differ by a nonzero multiple of 2ʷ would then match: the
+//! `1/H` bound holds only while no integer sum can wrap, that is while
+//! `n·2^log_h < 2ʷ` for the *global* n. No PE knows that n before the
+//! reduce it would size, so the lane stays at 128 bits.
 
 use ccheck_hashing::field::Mersenne61;
 use ccheck_hashing::gf64::gf_mul;

@@ -132,9 +132,10 @@ pub fn check_range_redistribution(
         local_ok =
             r_post.iter().all(|&(k, _)| in_range(k)) && s_post.iter().all(|&(k, _)| in_range(k));
     }
-    // Splitters must be replicated consistently.
+    // Splitters must be replicated consistently: a PE whose copy differs
+    // from PE 0's vetoes the multiset verdict.
     let splitters_ok =
-        crate::integrity::replicated_consistent(comm, &splitters.to_vec(), seed ^ 0x53504C);
+        crate::integrity::replica_matches_root(comm, &splitters.to_vec(), seed ^ 0x53504C);
 
     // Boundary exchange over the combined key range of both relations;
     // a share that fails its placement test says so in the same exchange.
@@ -149,9 +150,9 @@ pub fn check_range_redistribution(
     let digest_seed = seed ^ 0x736F_7274_6A6E;
     let r = multiset_lanes(perm, digest_seed, r_pre, r_post);
     let s = multiset_lanes(perm, digest_seed ^ 1, s_pre, s_post);
-    let multisets_ok = verdict(comm, r.concat(s));
+    let multisets_ok = verdict(comm, Lanes::veto(!splitters_ok).concat(r).concat(s));
 
-    placed_and_ordered && splitters_ok && multisets_ok
+    placed_and_ordered && multisets_ok
 }
 
 #[cfg(test)]
@@ -339,6 +340,28 @@ mod tests {
                 &s_pres[r],
                 &s_posts[r],
                 &splitters,
+                &perm(),
+                13,
+            )
+        });
+        assert!(verdicts.iter().all(|&v| !v));
+
+        // PE 0's splitter copy differs only above its own keys: its
+        // placement test passes, so only the splitter veto rejects.
+        let verdicts = run(p, |comm| {
+            let r = comm.rank();
+            let mine = if r == 0 {
+                vec![10, 21]
+            } else {
+                splitters.clone()
+            };
+            check_range_redistribution(
+                comm,
+                &r_pres[r],
+                &r_posts[r],
+                &s_pres[r],
+                &s_posts[r],
+                &mine,
                 &perm(),
                 13,
             )

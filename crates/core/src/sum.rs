@@ -20,9 +20,11 @@
 //!   lost 2⁶⁴ back in as the precomputed `2⁶⁴ mod rᵢ` — at most two more
 //!   adds, no division,
 //! * the difference of the input-side and output-side tables, all
-//!   iterations, travels in a **single** reduction message of `8·its·d`
-//!   bytes ([`crate::lanes`]), so the whole check costs one tree
-//!   reduction plus a one-byte broadcast: `O((n/p + β·d·w·its) + α·log p)`.
+//!   iterations, travels in a **single** reduction message, each bucket
+//!   packed at the `m + 1` bits of its residue:
+//!   `⌈`[`SumCheckConfig::table_bits`]`/8⌉` bytes ([`crate::lanes`]), so
+//!   the whole check costs one tree reduction plus a one-byte broadcast:
+//!   `O((n/p + β·d·⌈log₂ 2r̂⌉·its) + α·log p)`.
 //!
 //! Every fold — [`Sketch::update_iter`], [`Sketch::update`], `condense`
 //! and their signed forms — is the fused block fold the xor checker

@@ -18,7 +18,7 @@
 //! The check accepts iff `F(s1) − F(z.first) = 0` and `F(s2) −
 //! F(z.second) = 0` in every iteration — the paper's equalities, written
 //! as differences. `F` is linear, so each PE sends only its share of the
-//! two differences (`16·its` bytes), and an index whose input and output
+//! two differences (61 bits each, `⌈122·its/8⌉` bytes), and an index whose input and output
 //! sit **on the same PE with equal values** contributes a zero term that
 //! needs no hashing: [`ZipChecker::check_stream`] compares such indices
 //! block by block and hashes only where they differ or are not
@@ -147,7 +147,7 @@ impl ZipChecker {
     /// **One prefix sum and one verdict**, whatever `iterations` is: the
     /// prefix sum over the three lengths (24 bytes a message), then
     /// [`ZipChecker::lanes`] through [`verdict`]: one reduce of the
-    /// `2·iterations` differences (`16·iterations` bytes up) and a
+    /// `2·iterations` 61-bit differences (`⌈122·iterations/8⌉` bytes up) and a
     /// one-byte broadcast. Unequal global lengths reject after the
     /// prefix sum, before any stream is consumed.
     ///
