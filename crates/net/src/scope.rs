@@ -221,10 +221,13 @@ impl CommMux {
     /// up.
     ///
     /// A scope id may be reused once its previous communicator has been
-    /// dropped **and** the previous job is globally complete (e.g. after
-    /// a control-scope barrier); packets arriving for an unregistered
-    /// scope are stashed and replayed on registration, so admission
-    /// skew between ranks is safe.
+    /// dropped **and** the previous job is globally complete; packets
+    /// arriving for an unregistered scope are stashed and replayed on
+    /// registration, so admission skew between ranks is safe. The service
+    /// daemon needs no barrier for this: each slot cycles through several
+    /// scope ids, so a slot's next job never shares a scope with the job a
+    /// slower PE may still be finishing, and an id comes round again only
+    /// after every PE has left the job that last used it.
     ///
     /// # Panics
     /// Panics if `scope` is 0, exceeds [`MAX_SCOPE`], or is currently
@@ -590,6 +593,43 @@ mod tests {
         assert!(out.windows(2).all(|w| w[0] == w[1]));
         // round r contributes 3r + (0+1+2).
         assert_eq!(out[0], (0..3u64).map(|r| 3 * r + 3).sum::<u64>());
+    }
+
+    /// A slot's next job runs in a new scope while the previous job's
+    /// communicator may still be live on a slower PE: traffic for the new
+    /// scope, sent before and after the old scope's, reaches only the new
+    /// communicator — stashed until it registers — and the old one sees
+    /// only its own.
+    #[test]
+    fn next_generation_traffic_skips_the_live_previous_scope() {
+        let out = run_owned_both(2, |comm| {
+            let rank = comm.rank();
+            let mux = comm.into_mux();
+            let mut ctl = mux.control();
+            let mut old = mux.scoped(1, "gen-0");
+            let got = if rank == 0 {
+                // Already on to the next generation: same tag, both scopes.
+                let mut new = mux.scoped(3, "gen-1");
+                new.send(1, Tag::user(1), &42u64);
+                old.send(1, Tag::user(1), &7u64);
+                new.send(1, Tag::user(1), &43u64);
+                (0, 0, 0)
+            } else {
+                // Still in the previous generation: its receive must not
+                // see the new scope's packet that arrived first.
+                let first_old = old.recv::<u64>(0, Tag::user(1));
+                let mut new = mux.scoped(3, "gen-1");
+                let a = new.recv::<u64>(0, Tag::user(1));
+                let b = new.recv::<u64>(0, Tag::user(1));
+                (first_old, a, b)
+            };
+            drop(old);
+            ctl.barrier();
+            drop(ctl);
+            mux.shutdown();
+            got
+        });
+        assert_eq!(out[1], (7, 42, 43));
     }
 
     #[test]

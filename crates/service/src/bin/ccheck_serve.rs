@@ -23,6 +23,7 @@ use std::path::PathBuf;
 use ccheck_net::{bootstrap, Backend};
 use ccheck_service::{
     run_service, run_service_world, PolicyCfg, ServiceConfig, ServiceSummary, TenantAgg,
+    MAX_INFLIGHT,
 };
 
 /// Receipt-table rows printed before the report switches to "… and N
@@ -66,7 +67,7 @@ fn usage(problem: &str) -> ! {
          \u{20}                   (latency_p95 | error_budget | availability);\n\
          \u{20}                   breaches emit durable alerts + warn logs and\n\
          \u{20}                   surface in health/watch/metrics responses\n\
-         --max-inflight N    concurrent jobs (default 4)\n\
+         --max-inflight N    concurrent jobs, at most {MAX_INFLIGHT} (default 4)\n\
          --queue N           submission queue capacity (default 64)\n\
          --policy P          scheduling policy (default fifo = PR-4 behavior)\n\
          --aging-ms MS       priority policy: queue-wait worth one level (default 200)\n\
@@ -136,8 +137,11 @@ fn parse_args() -> Args {
                 None => usage("--slo expects a path"),
             },
             "--max-inflight" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => args.cfg.max_inflight = v,
-                _ => usage("--max-inflight expects a positive integer"),
+                Some(v) if (1..=MAX_INFLIGHT).contains(&v) => args.cfg.max_inflight = v,
+                _ => usage(&format!(
+                    "--max-inflight expects an integer in 1..={MAX_INFLIGHT} \
+                     (every slot needs two of the job tag scopes)"
+                )),
             },
             "--queue" => match iter.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => args.cfg.queue_cap = v,

@@ -9,25 +9,41 @@
 //!        │ listener thread │──▶ registry (job → status/receipt)
 //!        └───────┬────────┘
 //!                │ submit queue (bounded)
-//!        ┌───────▼────────┐   control scope (broadcast/barrier)
+//!        ┌───────▼────────┐   control scope (broadcast)
 //!  PE 0: │  daemon loop    │◀═══════════════════════════════▶ PE 1..p
-//!        └───────┬────────┘
-//!                │ Admit(job, slot)
-//!        ┌───────▼────────┐
-//!        │ worker threads  │  one per in-flight job, each on its own
-//!        └────────────────┘  scoped communicator (CommMux)
+//!        └──┬──────────▲──┘
+//!    Admit  │          │ (slot, sealed receipt)   PE 0 only
+//!  (job,    │          │
+//!   slot)┌──▼──────────┴──┐
+//!        │ slot workers    │  one thread per slot, fed over a channel;
+//!        └────────────────┘  each job on its own scoped communicator
+//!                            (CommMux)
 //! ```
+//!
+//! **Slot workers.** A slot's worker thread starts at the slot's first
+//! admission and runs the slot's jobs one after another, on every PE; PE
+//! 0's worker seals each receipt and reports `(slot, sealed receipt)` to
+//! the daemon loop, which frees the slot before it publishes the receipt.
+//! A worker retires after a job of at least `HEAVY_JOB_ELEMS` elements
+//! and the slot's next job starts a fresh one, so a large job's freed
+//! heap is not pinned by a long-lived thread's allocator cache.
 //!
 //! **Determinism.** Only PE 0 makes scheduling decisions; every decision
 //! is broadcast on the control scope, so all PEs admit the same jobs to
 //! the same slots in the same order. Job execution itself interleaves
-//! freely (worker threads over scoped communicators), which is safe
-//! because scopes are tag-isolated and admission re-uses a slot's scope
-//! only after a control-scope barrier proves the previous occupant is
-//! globally finished.
+//! freely (slot workers over scoped communicators), which is safe
+//! because scopes are tag-isolated. Admission needs no barrier: every PE
+//! counts the same admissions per slot, and a slot's `g`-th job runs in
+//! scope `job_scope(slot, g)`, which differs from the scope of the
+//! slot's previous job. PE 0 admits a slot's next job only once the
+//! previous one finished on PE 0, and that job's final collective needs
+//! every PE to have started it — so by the time a scope id comes round
+//! again (two or more generations later) every PE has left the job that
+//! last used it. A PE that is still finishing a slot's previous job
+//! finds the next job's early packets stashed in the mux.
 //!
 //! **Backpressure.** At most `max_inflight` jobs execute concurrently
-//! (that many worker threads and tag scopes per PE); beyond that,
+//! (that many slot workers per PE, at most [`MAX_INFLIGHT`]); beyond that,
 //! submissions queue up to `queue_cap`, and further submissions are
 //! refused with a `busy` error — under the non-FIFO policies the
 //! refusal carries the scheduler's retry-after hint, so the client
@@ -69,9 +85,27 @@ use crate::sched::{PolicyCfg, SchedCore};
 use crate::slo::{AlertEvent, SloEngine};
 
 /// The health plane's dedicated tag scope: the very top of the scope
-/// space, which job slots (`1..=max_inflight`, with `max_inflight <
-/// MAX_SCOPE` asserted) can never reach.
+/// space, above every job scope.
 const HEALTH_SCOPE: u64 = ccheck_net::scope::MAX_SCOPE;
+
+/// Job scopes are `1..=JOB_SCOPES`: everything between the control
+/// scope (0) and [`HEALTH_SCOPE`].
+const JOB_SCOPES: u64 = HEALTH_SCOPE - 1;
+
+/// Largest `max_inflight`: each slot cycles through
+/// `⌊JOB_SCOPES / max_inflight⌋` scope generations, and barrier-free
+/// admission needs at least two (see the module docs).
+pub const MAX_INFLIGHT: usize = (JOB_SCOPES / 2) as usize;
+
+/// The tag scope of slot `slot`'s `generation`-th job (counted from 0)
+/// in a service with `max_inflight` slots:
+/// `1 + slot + max_inflight · (generation mod ⌊JOB_SCOPES / max_inflight⌋)`.
+/// Consecutive generations of a slot never share a scope, and no two
+/// slots ever do.
+fn job_scope(slot: usize, generation: u64, max_inflight: usize) -> u64 {
+    let generations = JOB_SCOPES / max_inflight as u64;
+    1 + slot as u64 + max_inflight as u64 * (generation % generations)
+}
 
 /// The one message tag on the health scope.
 const HEARTBEAT_TAG: Tag = Tag(1);
@@ -89,8 +123,8 @@ pub struct ServiceConfig {
     /// If set, rank 0 sends the bound listener address here — the
     /// in-process discovery path for tests and benchmarks.
     pub announce: Option<mpsc::Sender<SocketAddr>>,
-    /// Maximum concurrently executing jobs (= worker threads and tag
-    /// scopes per PE). Bounded by the scope space; keep it small.
+    /// Maximum concurrently executing jobs (= slot workers per PE), at
+    /// most [`MAX_INFLIGHT`] (every slot needs two tag scopes).
     pub max_inflight: usize,
     /// Maximum queued-but-not-admitted jobs before submissions are
     /// refused with `busy`.
@@ -276,13 +310,169 @@ fn sched_wakeups() -> &'static ccheck_obs::Counter {
     WAKEUPS.get_or_init(|| ccheck_obs::registry().counter("service.sched.wakeups"))
 }
 
-/// One in-flight job's local state.
-struct Slot {
+/// One admitted job, handed to its slot's worker.
+struct Work {
     job_id: u64,
-    /// Set by the worker as its last act before it returns.
-    done: Arc<AtomicBool>,
-    /// The worker returns rank 0's sealed receipt (`None` elsewhere).
-    handle: JoinHandle<Option<Receipt>>,
+    seq: u64,
+    queue_wait_ms: u64,
+    spec: JobSpec,
+    /// The job's scoped communicator, registered at admission.
+    comm: Comm,
+    trace_ctx: TraceCtx,
+}
+
+/// Jobs of at least this many elements hold buffers above glibc's
+/// default mmap threshold (128 KiB of 16-byte pairs), and those come
+/// from the worker's arena once the threshold has adapted upwards. The
+/// small chunks a job frees last stay in the thread's allocator cache,
+/// which only a thread exit flushes; sitting above the job's freed
+/// buffers, they keep the arena from reusing or returning that space,
+/// and a persistent worker's heap ratchets up job by job. A worker
+/// therefore retires after such a job, and the slot's next job starts a
+/// fresh one (measured on `svc-stream`: peak RSS +22 % without this).
+const HEAVY_JOB_ELEMS: u64 = 1 << 13;
+
+/// A slot's worker thread: it runs the slot's jobs one after another, in
+/// admission order, until a heavy job retires it (see
+/// [`HEAVY_JOB_ELEMS`]) or the service stops.
+struct SlotWorker {
+    /// `None` once the worker is retiring: it exits after the job it has.
+    work: Option<mpsc::Sender<Work>>,
+    handle: JoinHandle<()>,
+}
+
+/// Rank 0's report of a finished job: its slot and its sealed receipt.
+type Finished = (usize, Receipt);
+
+/// What every slot worker of a PE shares.
+#[derive(Clone)]
+struct WorkerCtx {
+    inflight: Arc<AtomicU64>,
+    root_stats: Arc<ccheck_net::CommStats>,
+    retired_scope_bytes: Arc<AtomicU64>,
+    /// Rank 0 only: the frontend that seals receipts, and the channel on
+    /// which a worker reports `(slot, sealed receipt)` to the daemon loop.
+    report: Option<(Arc<Frontend>, mpsc::Sender<Finished>)>,
+}
+
+impl SlotWorker {
+    fn spawn(slot: usize, ctx: WorkerCtx) -> SlotWorker {
+        let (work, jobs) = mpsc::channel::<Work>();
+        let handle = std::thread::Builder::new()
+            .name(format!("ccheck-slot-{slot}"))
+            .spawn(move || {
+                for job in jobs {
+                    run_job(slot, job, &ctx);
+                }
+            })
+            .expect("spawn slot worker");
+        SlotWorker {
+            work: Some(work),
+            handle,
+        }
+    }
+
+    /// Queue `job`; after a heavy one the worker retires.
+    fn run(&mut self, job: Work) {
+        let heavy = job.spec.n >= HEAVY_JOB_ELEMS;
+        let work = self.work.as_ref().expect("an open slot worker");
+        work.send(job).expect("slot worker alive");
+        if heavy {
+            self.work = None;
+        }
+    }
+
+    /// Close the worker's queue and wait until it has run what it has.
+    fn join(self) {
+        drop(self.work);
+        let _ = self.handle.join();
+    }
+}
+
+/// One PE's job slots.
+struct Slots {
+    workers: Vec<Option<SlotWorker>>,
+    /// Admissions per slot — counted alike on every PE, so the slot's
+    /// next [`job_scope`] generation.
+    admitted: Vec<u64>,
+    /// The slots whose job has not reported back yet (read on rank 0
+    /// only, where the reports arrive).
+    busy: Vec<bool>,
+    /// Rank 0: `(slot, sealed receipt)` from the workers.
+    done: mpsc::Receiver<Finished>,
+    ctx: WorkerCtx,
+}
+
+impl Slots {
+    /// Hand an admitted job to slot `slot`'s worker, starting one if the
+    /// slot has none or its worker retired. A retired worker is joined
+    /// first, so its successor inherits the allocator arena it released
+    /// instead of growing another.
+    fn admit(&mut self, slot: usize, job: Work) {
+        self.busy[slot] = true;
+        let worker = &mut self.workers[slot];
+        if worker.as_ref().is_some_and(|w| w.work.is_none()) {
+            worker.take().expect("checked").join();
+        }
+        let ctx = &self.ctx;
+        worker
+            .get_or_insert_with(|| SlotWorker::spawn(slot, ctx.clone()))
+            .run(job);
+    }
+
+    /// Rank 0: slot `slot`'s job reported back. A retiring worker is
+    /// joined before the slot is offered again (see [`Slots::admit`]).
+    fn free(&mut self, slot: usize) {
+        if let Some(worker) = self.workers[slot].take_if(|w| w.work.is_none()) {
+            worker.join();
+        }
+        self.busy[slot] = false;
+    }
+
+    /// Stop every worker once it has run the jobs it was handed.
+    fn join_all(&mut self) {
+        for worker in self.workers.iter_mut().filter_map(Option::take) {
+            worker.join();
+        }
+    }
+}
+
+/// Run one admitted job on its slot's worker and, on rank 0, seal the
+/// receipt and hand it to the daemon loop.
+fn run_job(slot: usize, job: Work, ctx: &WorkerCtx) {
+    let Work {
+        job_id,
+        seq,
+        queue_wait_ms,
+        spec,
+        mut comm,
+        trace_ctx,
+    } = job;
+    let mut receipt = execute_job_traced(&mut comm, job_id, &spec, Some(&trace_ctx));
+    // The admission sequence travels in the Admit broadcast, so a
+    // restarted world continues the ledger's numbering on every PE.
+    receipt.admit_seq = seq;
+    // So does the scheduler's queue-wait measurement: every PE stamps the
+    // identical timing block the ledger will seal.
+    if let Some(timing) = receipt.timing.as_mut() {
+        timing.queue_wait_ms = queue_wait_ms;
+    }
+    drop(comm);
+    ctx.inflight.fetch_sub(1, Ordering::Relaxed);
+    // The receipt has captured the per-job volumes; retire the scope so a
+    // long-lived service keeps its stats registry bounded (totals
+    // preserved — the returned final snapshot feeds the rank's
+    // retired-traffic tally).
+    if let Some(snapshot) = ctx.root_stats.retire_scope(&format!("job-{job_id}")) {
+        ctx.retired_scope_bytes
+            .fetch_add(snapshot.total_bytes(), Ordering::Relaxed);
+    }
+    if let Some((fe, done)) = &ctx.report {
+        let sealed = fe.record_done(job_id, receipt);
+        // The daemon loop frees the slot, then publishes the receipt.
+        let _ = done.send((slot, sealed));
+        fe.sched_wake.notify();
+    }
 }
 
 /// Shared state between PE 0's daemon loop and its listener threads.
@@ -689,10 +879,10 @@ impl Frontend {
 /// shutdown (and the queue has drained). SPMD: every PE of the world
 /// calls this; rank 0 additionally serves the client socket.
 pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
-    assert!(cfg.max_inflight >= 1, "need at least one job slot");
     assert!(
-        (cfg.max_inflight as u64) < ccheck_net::scope::MAX_SCOPE,
-        "max_inflight exceeds the tag scope space"
+        (1..=MAX_INFLIGHT).contains(&cfg.max_inflight),
+        "max_inflight must be in 1..={MAX_INFLIGHT}, got {}",
+        cfg.max_inflight
     );
     let rank = comm.rank();
     let size = comm.size();
@@ -948,10 +1138,21 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
         }
     }
 
-    let mut slots: Vec<Option<Slot>> = Vec::new();
-    slots.resize_with(cfg.max_inflight, || None);
+    // Slot workers start on a slot's first admission; see [`Slots`].
+    let (done_tx, done) = mpsc::channel();
+    let mut slots = Slots {
+        workers: (0..cfg.max_inflight).map(|_| None).collect(),
+        admitted: vec![0; cfg.max_inflight],
+        busy: vec![false; cfg.max_inflight],
+        done,
+        ctx: WorkerCtx {
+            inflight: Arc::clone(&inflight),
+            root_stats: mux.stats(),
+            retired_scope_bytes: Arc::new(AtomicU64::new(0)),
+            report: frontend.clone().map(|fe| (fe, done_tx)),
+        },
+    };
     let mut jobs_run = 0u64;
-    let retired_scope_bytes = Arc::new(AtomicU64::new(0));
 
     loop {
         // PE 0 decides the next control action; everyone learns it via
@@ -970,18 +1171,10 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
                 queue_wait_ms,
                 spec,
             } => {
-                let slot_idx = slot as usize;
-                // Reclaim the slot's previous worker (rank 0 reaped it
-                // before admitting, and only admits into slots whose job
-                // finished globally, so this join does not block on
-                // communication).
-                if let Some(old) = slots[slot_idx].take() {
-                    let _ = old.handle.join();
-                }
-                // Quiescence point: after this barrier, *every* PE has
-                // reclaimed the slot — its tag scope is safe to reuse.
-                ctl.barrier();
-                let job_comm = mux.scoped(slot as u64 + 1, &format!("job-{job_id}"));
+                let slot = slot as usize;
+                let scope = job_scope(slot, slots.admitted[slot], cfg.max_inflight);
+                slots.admitted[slot] += 1;
+                let comm = mux.scoped(scope, &format!("job-{job_id}"));
                 // The trace-correlation identity every span/event of
                 // this job carries, on every PE.
                 let trace_ctx = TraceCtx {
@@ -1016,60 +1209,22 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
                     }
                     ccheck_obs::debug!(
                         "service",
-                        "admit job {job_id} (seq {seq}, slot {slot}, queued {queue_wait_ms} ms)"
+                        "admit job {job_id} (seq {seq}, slot {slot}, scope {scope}, \
+                         queued {queue_wait_ms} ms)"
                     );
                 }
-                let done = Arc::new(AtomicBool::new(false));
-                let worker_done = Arc::clone(&done);
-                let worker_frontend = frontend.clone();
-                let worker_inflight = Arc::clone(&inflight);
-                let root_stats = mux.stats();
-                let worker_retired = Arc::clone(&retired_scope_bytes);
                 jobs_run += 1;
-                let handle = std::thread::Builder::new()
-                    .name(format!("ccheck-job-{job_id}"))
-                    .spawn(move || {
-                        let mut comm = job_comm;
-                        let mut receipt =
-                            execute_job_traced(&mut comm, job_id, &spec, Some(&trace_ctx));
-                        // The admission sequence travels in the Admit
-                        // broadcast, so a restarted world continues the
-                        // ledger's numbering on every PE.
-                        receipt.admit_seq = seq;
-                        // So does the scheduler's queue-wait measurement:
-                        // every PE stamps the identical timing block the
-                        // ledger will seal.
-                        if let Some(timing) = receipt.timing.as_mut() {
-                            timing.queue_wait_ms = queue_wait_ms;
-                        }
-                        // Deregister the scope before signaling done.
-                        drop(comm);
-                        worker_inflight.fetch_sub(1, Ordering::Relaxed);
-                        // The receipt has captured the per-job volumes;
-                        // retire the scope so a long-lived service keeps
-                        // its stats registry bounded (totals preserved —
-                        // the returned final snapshot feeds the rank's
-                        // retired-traffic tally).
-                        if let Some(snapshot) = root_stats.retire_scope(&format!("job-{job_id}")) {
-                            worker_retired.fetch_add(snapshot.total_bytes(), Ordering::Relaxed);
-                        }
-                        let sealed = worker_frontend
-                            .as_ref()
-                            .map(|fe| fe.record_done(job_id, receipt));
-                        worker_done.store(true, Ordering::Release);
-                        // Rank 0's scheduling loop reaps the slot: joins
-                        // this thread, publishes the receipt, admits.
-                        if let Some(fe) = &worker_frontend {
-                            fe.sched_wake.notify();
-                        }
-                        sealed
-                    })
-                    .expect("spawn job worker");
-                slots[slot_idx] = Some(Slot {
-                    job_id,
-                    done,
-                    handle,
-                });
+                slots.admit(
+                    slot,
+                    Work {
+                        job_id,
+                        seq,
+                        queue_wait_ms,
+                        spec,
+                        comm,
+                        trace_ctx,
+                    },
+                );
             }
             CtlMsg::Metrics => {
                 // Two collectives, same order on every PE: the obs
@@ -1139,9 +1294,7 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
                 }
             }
             CtlMsg::Shutdown => {
-                for slot in slots.iter_mut().filter_map(Option::take) {
-                    let _ = slot.handle.join();
-                }
+                slots.join_all();
                 break;
             }
         }
@@ -1240,7 +1393,7 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
         policy,
         refused,
         stolen,
-        retired_scope_bytes: retired_scope_bytes.load(Ordering::Relaxed),
+        retired_scope_bytes: slots.ctx.retired_scope_bytes.load(Ordering::Relaxed),
         elapsed: t_start.elapsed(),
     }
 }
@@ -1348,11 +1501,11 @@ fn timeline_json(job_id: u64, traces: &[ccheck_obs::TraceSnapshot]) -> Json {
 /// refused while queued), then — if a slot is free — the policy's pick.
 ///
 /// Event-driven: with nothing to do the loop parks on `sched_wake`
-/// until an enqueue, a finished worker, a parked `metrics`/`timeline`
+/// until an enqueue, a finished job, a parked `metrics`/`timeline`
 /// waiter or a shutdown request moves it, or until the earlier of the
 /// next watch-sample tick and the earliest queued deadline — the two
 /// things that happen by the clock alone.
-fn next_action(fe: &Arc<Frontend>, slots: &mut [Option<Slot>]) -> CtlMsg {
+fn next_action(fe: &Arc<Frontend>, slots: &mut Slots) -> CtlMsg {
     loop {
         // Read before looking at any state: whatever changes after this
         // line moves the generation and cuts the wait below short.
@@ -1360,22 +1513,14 @@ fn next_action(fe: &Arc<Frontend>, slots: &mut [Option<Slot>]) -> CtlMsg {
         if ccheck_obs::enabled() {
             sched_wakeups().inc();
         }
-        // Reap finished workers: join the thread, *then* publish its
-        // receipt. A client answers a receipt within microseconds, and
-        // whatever it starts next must not race the worker's exit for
-        // the slot, the stack or the allocator arena the job held
-        // (glibc hands a new thread the most recently released arena:
-        // announced from inside the worker, a job's heap could be
-        // adopted by an unrelated thread and a fresh one grown for the
-        // next job, up to +50 MB resident on 2M-element jobs).
-        for slot in slots.iter_mut() {
-            if let Some(Slot { job_id, handle, .. }) =
-                slot.take_if(|s| s.done.load(Ordering::Acquire))
-            {
-                if let Ok(Some(sealed)) = handle.join() {
-                    fe.finish(job_id, JobStatus::Done(sealed));
-                }
-            }
+        // Finished jobs: free the slot, *then* publish the receipt. A
+        // client answers a receipt within microseconds; its next job
+        // must find the slot free and land on the same worker, whose
+        // allocator arena already holds the previous job's freed heap
+        // (spread over several workers, each would grow its own).
+        while let Ok((slot, sealed)) = slots.done.try_recv() {
+            slots.free(slot);
+            fe.finish(sealed.job_id, JobStatus::Done(sealed));
         }
         // The watchdog pass rides the scheduling loop: self-beat,
         // straggler scan, liveness-transition logs, watch samples.
@@ -1402,7 +1547,7 @@ fn next_action(fe: &Arc<Frontend>, slots: &mut [Option<Slot>]) -> CtlMsg {
             return CtlMsg::Trace { job_id };
         }
         let now = fe.now_ms();
-        let free = slots.iter().position(Option::is_none);
+        let free = slots.busy.iter().position(|&b| !b);
         let (expired, admission, queue_empty, next_deadline) = {
             let mut sched = fe.sched.lock().expect("scheduler poisoned");
             let expired = sched.take_expired(now);
@@ -1431,9 +1576,9 @@ fn next_action(fe: &Arc<Frontend>, slots: &mut [Option<Slot>]) -> CtlMsg {
                 spec: admission.spec,
             };
         }
-        // Every slot reaped, not merely finished: a receipt is published
-        // by the reap above, never by the shutdown path.
-        let drained = queue_empty && slots.iter().all(Option::is_none);
+        // Every slot freed, not merely finished: a receipt is published
+        // above, never by the shutdown path.
+        let drained = queue_empty && !slots.busy.contains(&true);
         if fe.shutdown_requested.load(Ordering::Acquire) && drained {
             // Fence against racing submissions: stop accepting, wait out
             // any handler already past its `accepting` check (each wakes
@@ -2104,6 +2249,26 @@ pub fn run_service_world(backend: Backend, p: usize, cfg: &ServiceConfig) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Job scopes stay between the control and health scopes, no two
+    /// slots ever share one, and a slot's consecutive jobs never do —
+    /// at every `max_inflight` up to [`MAX_INFLIGHT`].
+    #[test]
+    fn job_scopes_alternate_per_slot_and_never_collide() {
+        for max_inflight in (1..=8).chain([MAX_INFLIGHT / 2, MAX_INFLIGHT - 1, MAX_INFLIGHT]) {
+            let mut owner = HashMap::new();
+            for slot in 0..max_inflight {
+                for generation in 0..300 {
+                    let scope = job_scope(slot, generation, max_inflight);
+                    assert!((1..HEALTH_SCOPE).contains(&scope), "scope {scope}");
+                    assert_eq!(*owner.entry(scope).or_insert(slot), slot);
+                    assert_ne!(scope, job_scope(slot, generation + 1, max_inflight));
+                }
+            }
+        }
+        // The bound is tight: one slot more and some slot has one scope.
+        assert_eq!(JOB_SCOPES / (MAX_INFLIGHT as u64 + 1), 1);
+    }
 
     /// The interleaving the generation exists for: the notify lands
     /// after the waiter looked at the state but before it waits.

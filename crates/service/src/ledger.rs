@@ -128,14 +128,23 @@ fn tenant_key(receipt: &Receipt) -> String {
     receipt.tenant.clone().unwrap_or_default()
 }
 
-/// One tenant's corner of the index: its chain head and where its jobs
-/// sit in the log.
-#[derive(Debug, Default)]
+/// One tenant's corner of the index: its chain head, and the number its
+/// records carry in [`Entry::tenant`].
+#[derive(Debug)]
 struct TenantChain {
     /// Current chain head hash.
     head: String,
-    /// Job id → index into `entries`.
-    jobs: BTreeMap<u64, usize>,
+    id: u32,
+}
+
+/// Where one record sits in the log, and whose chain it extends: 16
+/// bytes, the whole per-record index besides the id lookup.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    offset: u64,
+    len: u32,
+    /// The owning tenant's [`TenantChain::id`].
+    tenant: u32,
 }
 
 /// A durable, append-only receipt ledger bound to one log file.
@@ -143,8 +152,8 @@ struct TenantChain {
 /// Appends seal receipts into their tenant's hash chain and frame them
 /// onto disk; opening an existing file replays it (tolerating a torn
 /// tail). **Index resident, receipts on disk:** what stays in memory is
-/// one `(offset, len)` per record, the id and `(tenant, job_id)` lookups
-/// into that list, and the per-tenant chain heads — a few dozen bytes
+/// one 16-byte `(offset, len, tenant number)` entry per record, the id
+/// lookup into that list, and the per-tenant chain heads — a few dozen bytes
 /// per ledgered job, always mirroring the durable prefix of the log.
 /// [`Ledger::get`], [`Ledger::get_tenant_job`] and [`Ledger::chain`]
 /// read the receipts they return back from the file.
@@ -152,11 +161,11 @@ struct TenantChain {
 pub struct Ledger {
     file: File,
     path: PathBuf,
-    /// `(frame offset, frame length)` of every record, in append order.
-    entries: Vec<(u64, u32)>,
+    /// Every record, in append order.
+    entries: Vec<Entry>,
     /// Service job id → index into `entries`.
     by_id: BTreeMap<u64, usize>,
-    /// Tenant key → chain head and that tenant's jobs.
+    /// Tenant key → chain head and tenant number.
     tenants: BTreeMap<String, TenantChain>,
     /// The largest ledgered admission sequence number.
     max_admit_seq: u64,
@@ -330,11 +339,7 @@ impl Ledger {
     /// ```
     pub fn append(&mut self, mut receipt: Receipt) -> io::Result<Receipt> {
         let tenant = tenant_key(&receipt);
-        if self
-            .tenants
-            .get(&tenant)
-            .is_some_and(|chain| chain.jobs.contains_key(&receipt.job_id))
-        {
+        if self.tenant_job(&tenant, receipt.job_id).is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!(
@@ -376,13 +381,23 @@ impl Ledger {
     fn index(&mut self, receipt: &Receipt, frame_len: u32) {
         let content = receipt.content_hash.as_deref().unwrap_or_default();
         let prev = receipt.prev_hash.as_deref().unwrap_or_default();
-        let index = self.entries.len();
-        let chain = self.tenants.entry(tenant_key(receipt)).or_default();
+        let next_tenant = self.tenants.len() as u32;
+        let chain = self
+            .tenants
+            .entry(tenant_key(receipt))
+            .or_insert_with(|| TenantChain {
+                head: String::new(),
+                id: next_tenant,
+            });
         chain.head = chain_hash(prev, content);
-        chain.jobs.insert(receipt.job_id, index);
-        self.by_id.insert(receipt.job_id, index);
+        let tenant = chain.id;
+        self.by_id.insert(receipt.job_id, self.entries.len());
         self.max_admit_seq = self.max_admit_seq.max(receipt.admit_seq);
-        self.entries.push((self.end, frame_len));
+        self.entries.push(Entry {
+            offset: self.end,
+            len: frame_len,
+            tenant,
+        });
         self.end += u64::from(frame_len);
     }
 
@@ -391,7 +406,7 @@ impl Ledger {
     /// the record was framed, CRC-checked and chain-verified when it was
     /// indexed.
     fn read(&self, index: usize) -> Option<Receipt> {
-        let (offset, len) = self.entries[index];
+        let Entry { offset, len, .. } = self.entries[index];
         let mut frame = vec![0u8; len as usize];
         let receipt = self
             .file
@@ -474,18 +489,25 @@ impl Ledger {
     /// lookup (`docs/PROTOCOL.md` §7). The anonymous default tenant is
     /// keyed `""`.
     pub fn get_tenant_job(&self, tenant: &str, job_id: u64) -> Option<Receipt> {
-        let &index = self.tenants.get(tenant)?.jobs.get(&job_id)?;
-        self.read(index)
+        self.read(self.tenant_job(tenant, job_id)?)
+    }
+
+    /// Where `(tenant key, job id)`'s record sits in `entries`.
+    fn tenant_job(&self, tenant: &str, job_id: u64) -> Option<usize> {
+        let id = self.tenants.get(tenant)?.id;
+        let &index = self.by_id.get(&job_id)?;
+        (self.entries[index].tenant == id).then_some(index)
     }
 
     /// One tenant's chain in append order (what `verify_chain` takes).
     pub fn chain(&self, tenant: &str) -> Vec<Receipt> {
-        let Some(chain) = self.tenants.get(tenant) else {
+        let Some(id) = self.tenants.get(tenant).map(|chain| chain.id) else {
             return Vec::new();
         };
-        let mut indexes: Vec<usize> = chain.jobs.values().copied().collect();
-        indexes.sort_unstable();
-        indexes.into_iter().filter_map(|i| self.read(i)).collect()
+        (0..self.entries.len())
+            .filter(|&i| self.entries[i].tenant == id)
+            .filter_map(|i| self.read(i))
+            .collect()
     }
 
     /// A tenant's current chain head hash ([`GENESIS_HASH`] if the

@@ -64,7 +64,9 @@ pub mod sched;
 pub mod slo;
 
 pub use client::{ChainLink, ServiceClient, ServiceError, SubmitAck, TenantChain};
-pub use daemon::{run_service, run_service_world, ServiceConfig, ServiceSummary, TenantAgg};
+pub use daemon::{
+    run_service, run_service_world, ServiceConfig, ServiceSummary, TenantAgg, MAX_INFLIGHT,
+};
 pub use exec::{execute_job, execute_job_traced, TraceCtx};
 pub use health::{HealthCfg, HealthTracker, Heartbeat, Liveness, PeHealth, WatchSample};
 pub use job::{

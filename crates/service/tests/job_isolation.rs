@@ -8,6 +8,11 @@
 //! concurrently over one shared transport per PE, so their collectives
 //! interleave at the whim of the scheduler. Isolation (tag scoping +
 //! per-scope stats) is what makes the outcome deterministic anyway.
+//!
+//! Admission runs no barrier: a slot's next job starts in the slot's next
+//! scope generation while a slower PE may still be finishing the previous
+//! one. The back-to-back tests below hold one slot busy with job after
+//! job and check every receipt against the same job run alone.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -15,7 +20,7 @@ use std::time::Duration;
 use ccheck_net::Backend;
 use ccheck_service::{
     execute_job, run_service_world, FaultSpec, JobOp, JobSpec, Receipt, ServiceClient,
-    ServiceConfig, Verdict,
+    ServiceConfig, Verdict, MAX_INFLIGHT,
 };
 use proptest::prelude::*;
 
@@ -65,12 +70,9 @@ fn make_spec(op_sel: u8, chunk_sel: u8, n: u64, seed: u64, fault_sel: u8) -> Job
     }
 }
 
-fn serial_receipt(p: usize, spec: &JobSpec) -> Receipt {
-    let spec = spec.clone();
-    ccheck_net::run(p, move |comm| execute_job(comm, 0, &spec))
-        .into_iter()
-        .next()
-        .expect("rank 0")
+/// The job run alone on a dedicated `p`-PE world on `backend`.
+fn serial_receipt(backend: Backend, p: usize, spec: &JobSpec) -> Receipt {
+    ccheck_net::run_on(backend, p, |comm| execute_job(comm, 0, spec)).swap_remove(0)
 }
 
 proptest! {
@@ -98,7 +100,10 @@ proptest! {
             .collect();
 
         // Serial ground truth, each job alone on a dedicated world.
-        let serial: Vec<Receipt> = specs.iter().map(|s| serial_receipt(p, s)).collect();
+        let serial: Vec<Receipt> = specs
+            .iter()
+            .map(|s| serial_receipt(Backend::Local, p, s))
+            .collect();
 
         // Concurrent run: all jobs in flight at once.
         let (tx, rx) = mpsc::channel();
@@ -153,5 +158,92 @@ proptest! {
                 prop_assert_eq!(&concurrent.verdict, &Verdict::Rejected);
             }
         }
+    }
+}
+
+/// Run `jobs` mixed jobs through a `max_inflight`-slot world of `p` PEs on
+/// `backend` and compare every receipt with the standalone run. With
+/// `queued`, every job is submitted before the first finishes, so the
+/// loop admits each the moment the slot frees; otherwise each job is
+/// submitted once the previous receipt is back.
+fn back_to_back(backend: Backend, p: usize, max_inflight: usize, jobs: u64, queued: bool) {
+    let specs: Vec<JobSpec> = (0..jobs)
+        .map(|i| {
+            let h = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            // Every tenth job is large enough that its worker retires
+            // afterwards, so the slot's next job starts a new one.
+            let n = if i % 10 == 9 { 9_000 } else { (h >> 16) % 1500 };
+            make_spec(
+                (i % 3) as u8,
+                (h >> 8) as u8,
+                n,
+                (h >> 24) % 10_000 + 100 * p as u64,
+                (h >> 40) as u8,
+            )
+        })
+        .collect();
+    let (tx, rx) = mpsc::channel();
+    let cfg = ServiceConfig {
+        announce: Some(tx),
+        max_inflight,
+        ..ServiceConfig::default()
+    };
+    let world = std::thread::spawn(move || run_service_world(backend, p, &cfg));
+    let addr = rx.recv_timeout(Duration::from_secs(30)).expect("address");
+    let mut client = ServiceClient::connect_with_retry(&addr.to_string(), Duration::from_secs(10))
+        .expect("connect");
+    // A broken world stops answering rather than erring: bound the wait.
+    let receipt = |client: &mut ServiceClient, id: u64| {
+        client
+            .wait_timeout(id, Some(Duration::from_secs(60)))
+            .expect("wait")
+            .unwrap_or_else(|| panic!("job {id}: no receipt within 60 s"))
+    };
+    let receipts: Vec<Receipt> = if queued {
+        let ids: Vec<u64> = specs
+            .iter()
+            .map(|spec| client.submit(spec).expect("submit"))
+            .collect();
+        ids.into_iter().map(|id| receipt(&mut client, id)).collect()
+    } else {
+        specs
+            .iter()
+            .map(|spec| {
+                let id = client.submit(spec).expect("submit");
+                receipt(&mut client, id)
+            })
+            .collect()
+    };
+    client.shutdown().expect("shutdown");
+    world.join().expect("world exits");
+
+    for (spec, got) in specs.iter().zip(&receipts) {
+        let alone = serial_receipt(backend, p, spec);
+        let what = format!("{backend:?} p={p} slots={max_inflight} job {}", got.job_id);
+        assert_eq!(got.verdict, alone.verdict, "{what}: verdict");
+        assert_eq!(got.digest, alone.digest, "{what}: digest");
+        assert_eq!(got.output_elems, alone.output_elems, "{what}: output_elems");
+        assert_eq!(got.comm, alone.comm, "{what}: comm");
+    }
+}
+
+/// One slot, 30 jobs queued at once: each job's scope generation opens
+/// while the previous job may still be running on another PE.
+#[test]
+fn one_slot_back_to_back_jobs_equal_standalone_jobs() {
+    for backend in [Backend::Local, Backend::TcpLoopback] {
+        for p in [2, 3] {
+            back_to_back(backend, p, 1, 30, true);
+        }
+    }
+}
+
+/// At `MAX_INFLIGHT` every slot has exactly two scope generations, so a
+/// client's back-to-back jobs, which all land on slot 0, reuse a scope id
+/// every second job.
+#[test]
+fn scope_ids_reused_every_second_job_at_max_inflight() {
+    for backend in [Backend::Local, Backend::TcpLoopback] {
+        back_to_back(backend, 2, MAX_INFLIGHT, 30, false);
     }
 }

@@ -211,3 +211,53 @@ fn metrics_command_reports_world_series() {
     client.shutdown().expect("shutdown");
     world.join().expect("world joins");
 }
+
+/// Each thread that records keeps its trace ring for the life of the
+/// process, so a thread per job would add a ring per PE per job. Slot
+/// workers are persistent: however many traced jobs a client runs, their
+/// spans come from the same threads — each PE's slot worker, plus rank
+/// 0's daemon loop for the `queue`/`admit` lanes.
+#[test]
+fn traced_jobs_reuse_the_same_threads() {
+    ccheck_obs::set_enabled(true);
+    // A tenant no other test uses: only this world's spans carry it.
+    let tenant = "tid-pin";
+    let (addr, world) = start_world(
+        2,
+        ServiceConfig {
+            max_inflight: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let mut client = connect(addr);
+    let tids_after = |client: &mut ServiceClient, jobs: u64| {
+        for seed in 0..jobs {
+            let spec = JobSpec {
+                op: [JobOp::Reduce, JobOp::Sort, JobOp::Zip][seed as usize % 3],
+                n: 300,
+                keys: 17,
+                seed,
+                tenant: Some(tenant.into()),
+                ..JobSpec::default()
+            };
+            client.run(&spec).expect("receipt");
+        }
+        let marker = format!("@{tenant}#");
+        let tids: std::collections::BTreeSet<u32> = ccheck_obs::trace_snapshot()
+            .events
+            .iter()
+            .filter(|ev| ev.name.contains(&marker))
+            .map(|ev| ev.tid)
+            .collect();
+        tids.len()
+    };
+    let few = tids_after(&mut client, 3);
+    let many = tids_after(&mut client, 12);
+    client.shutdown().expect("shutdown");
+    world.join().expect("world joins");
+    assert_eq!(few, 3, "two slot workers and rank 0's loop");
+    assert_eq!(
+        many, few,
+        "15 traced jobs recorded on more threads than 3 did"
+    );
+}

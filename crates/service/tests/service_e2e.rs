@@ -303,3 +303,32 @@ fn protocol_errors_are_answered_not_fatal() {
     client.shutdown().expect("shutdown");
     world.join().expect("world exits");
 }
+
+/// Every slot cycles through at least two of the job tag scopes, which
+/// bounds `--max-inflight`: past the bound `ccheck-serve` refuses the
+/// flag as a usage error (exit 2) before it starts a world, and at the
+/// bound it accepts it.
+#[test]
+fn max_inflight_beyond_the_scope_space_is_a_usage_error() {
+    let serve = |max_inflight: usize| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_ccheck-serve"))
+            .args(["--max-inflight", &max_inflight.to_string(), "--pes", "0"])
+            .output()
+            .expect("run ccheck-serve")
+    };
+    let out = serve(200);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!(
+            "--max-inflight expects an integer in 1..={}",
+            ccheck_service::MAX_INFLIGHT
+        )),
+        "{stderr}"
+    );
+    // At the bound the flag parses: the run then stops at the next
+    // (deliberately bad) flag instead.
+    let out = serve(ccheck_service::MAX_INFLIGHT);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--pes expects"));
+}
