@@ -9,6 +9,9 @@
 //! `lanes(input, output)` turns two finalized digests into [`Lanes`];
 //! [`Lanes::accepts`] is the local check, and [`verdict`] reduces every
 //! PE's lanes to PE 0, tests them there and broadcasts one byte.
+//! [`settle`] is the same two collectives with a payload riding in every
+//! message — how a job's executor ends a job in one collective, with
+//! its receipt's totals beside the verdict.
 //!
 //! [`Lanes`] is a vector of words cut into rows, each combined across PEs
 //! by its own [`Op`]. The row shape comes from the checker's config on
@@ -55,7 +58,7 @@
 
 use ccheck_hashing::field::{addmod, Mersenne61};
 use ccheck_hashing::gf64::gf_mul;
-use ccheck_net::wire::Run;
+use ccheck_net::wire::{Run, Wire};
 use ccheck_net::Comm;
 
 /// How the words of one row combine across PEs (see the module docs).
@@ -288,21 +291,51 @@ fn unpack(rows: &[(Op, usize)], bytes: &[u8]) -> Option<Vec<u64>> {
 /// another shape (of another length, or with a word out of its row's
 /// range) reject: the hop that finds them forwards one byte more than a
 /// packing, which no PE unpacks, so PE 0 broadcasts `false`.
+///
+/// This is [`settle`] with nothing carried: its messages are exactly
+/// the lanes up and the verdict byte down.
 pub fn verdict(comm: &mut Comm, lanes: Lanes) -> bool {
+    settle(comm, lanes, (), |(), ()| ()).0
+}
+
+/// [`verdict`] with a `carry` riding the same two collectives: each hop
+/// of the reduce sends the carry ahead of the packed lanes and combines
+/// the two carries with `combine` (lower ranks first, so `combine` need
+/// be associative only), and PE 0 broadcasts `(accepted, combined
+/// carry)`. Every PE returns both. A job's epilogue thus learns its
+/// verdict and any per-PE totals (a digest, an output length, the comm
+/// counters) in the messages of one verdict, each `carry.wire_size()`
+/// bytes longer.
+///
+/// Lanes of another shape reject as in [`verdict`], and the carry is
+/// combined and delivered all the same. The lanes are the message's
+/// prefix-free tail, so the carry must encode its own length: any
+/// [`Wire`] type but a [`Run`].
+pub fn settle<T, F>(comm: &mut Comm, lanes: Lanes, carry: T, combine: F) -> (bool, T)
+where
+    T: Wire + Clone + Default,
+    F: Fn(T, T) -> T,
+{
     let Lanes { words, rows } = lanes;
-    let reduced = comm.reduce(0, Run(pack(&rows, &words)), |Run(a), Run(b)| {
-        Run(match (unpack(&rows, &a), unpack(&rows, &b)) {
-            (Some(mut a), Some(b)) => {
-                merge_words(&rows, &mut a, &b);
-                pack(&rows, &a)
-            }
-            _ => vec![0; packed_len(&rows) + 1],
-        })
+    let reduced = comm.reduce(
+        0,
+        (carry, Run(pack(&rows, &words))),
+        |(carry_a, Run(a)), (carry_b, Run(b))| {
+            let lanes = match (unpack(&rows, &a), unpack(&rows, &b)) {
+                (Some(mut a), Some(b)) => {
+                    merge_words(&rows, &mut a, &b);
+                    pack(&rows, &a)
+                }
+                _ => vec![0; packed_len(&rows) + 1],
+            };
+            (combine(carry_a, carry_b), Run(lanes))
+        },
+    );
+    let settled = reduced.map(|(carry, Run(bytes))| {
+        let accepted = unpack(&rows, &bytes).is_some_and(|words| Lanes { words, rows }.accepts());
+        (accepted, carry)
     });
-    let accepted = reduced
-        .and_then(|Run(bytes)| unpack(&rows, &bytes))
-        .is_some_and(|words| Lanes { words, rows }.accepts());
-    comm.broadcast(0, accepted)
+    comm.broadcast(0, settled.unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -504,6 +537,47 @@ mod tests {
     }
 
     #[test]
+    fn settle_of_another_shape_rejects_and_still_carries() {
+        // As in `verdict_rejects_lanes_of_another_shape`, and each PE's
+        // rank rides along: every PE gets `false` and all the ranks.
+        for p in [1, 2, 3, 5] {
+            for odd in [0, p - 1] {
+                let settled = ccheck_net::run(p, |comm| {
+                    let len = if comm.rank() == odd && p > 1 { 3 } else { 2 };
+                    let lanes = Lanes::new(vec![0; len], vec![(Op::Xor, len)]);
+                    settle(comm, lanes, vec![comm.rank() as u64], |mut a, b| {
+                        a.extend(b);
+                        a
+                    })
+                });
+                let ranks: Vec<u64> = (0..p as u64).collect();
+                assert_eq!(settled, vec![(p == 1, ranks); p], "p={p} odd={odd}");
+            }
+        }
+    }
+
+    #[test]
+    fn settle_adds_the_carry_to_every_message() {
+        // A 16-byte carry makes each hop of the reduce 16 bytes longer
+        // and each hop of the broadcast too; the message count stays.
+        for p in [1, 2, 3, 5] {
+            let (settled, stats) = run_with_stats(p, |comm| {
+                let lanes = Lanes::new(vec![0, 0], vec![(Op::AddMod(13), 1), (Op::Add, 1)]);
+                settle(comm, lanes, (1u64, comm.rank() as u64), |a, b| {
+                    (a.0 + b.0, a.1.max(b.1))
+                })
+            });
+            assert_eq!(settled, vec![(true, (p as u64, p as u64 - 1)); p]);
+            let hops = p as u64 - 1;
+            assert_eq!(
+                (stats.total_messages(), stats.total_bytes()),
+                (2 * hops, hops * (9 + 16 + 1 + 16)),
+                "p={p}"
+            );
+        }
+    }
+
+    #[test]
     fn widths_follow_the_modulus() {
         let widths = [
             (Op::AddMod(1), 0),
@@ -571,6 +645,45 @@ mod tests {
                 verdict(comm, Lanes::new(pes[comm.rank()].clone(), rows.clone()))
             });
             prop_assert_eq!(verdicts, vec![!changed; p]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `settle` is `verdict` plus the carry: on every PE its verdict
+        /// is the one `verdict` gives the same lanes, and its carry is
+        /// the PEs' carries folded in rank order (concatenation, which
+        /// does not commute, shows the order).
+        #[test]
+        fn prop_settle_is_verdict_plus_the_rank_order_fold(
+            raw in raw_rows(),
+            p in 1usize..=5,
+            change: u64,
+            carries in prop::collection::vec(any::<u64>(), 5),
+        ) {
+            let (rows, words) = shape(&raw);
+            let mut pes = cancelling(&rows, &words, p);
+            if change & 1 == 1 && !words.is_empty() {
+                // Any canonical word: the verdict may go either way.
+                let (pe, word) = ((change >> 1) as usize % p, (change >> 8) as usize % words.len());
+                pes[pe][word] = 0;
+            }
+            let results = ccheck_net::run(p, |comm| {
+                let rank = comm.rank();
+                let lanes = || Lanes::new(pes[rank].clone(), rows.clone());
+                let alone = verdict(comm, lanes());
+                let carry = vec![carries[rank]];
+                let settled = settle(comm, lanes(), carry, |mut a, b| {
+                    a.extend(b);
+                    a
+                });
+                (alone, settled)
+            });
+            for (alone, (accepted, carry)) in results {
+                prop_assert_eq!(accepted, alone);
+                prop_assert_eq!(&carry[..], &carries[..p]);
+            }
         }
     }
 

@@ -31,7 +31,7 @@
 //! | §6.5.4 Cor 15 | [`redistribution`] | [`check_join_redistribution`] |
 //! | §2 | [`integrity`] | [`replicated_consistent`]; [`integrity::replica_matches_root`] for a check that carries the comparison in its own verdict |
 //! | (streaming core) | [`sketch`] | [`Sketch`] — `update`/`merge`/`finalize` behind every checker |
-//! | (one verdict) | [`lanes`] | [`Lanes`] — input minus output of a linear sketch; [`verdict`] reduces it |
+//! | (one verdict) | [`lanes`] | [`Lanes`] — input minus output of a linear sketch; [`verdict`] reduces it, [`lanes::settle`] with a payload riding along |
 //!
 //! ## Quickstart
 //!

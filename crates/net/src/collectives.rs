@@ -438,7 +438,7 @@ impl Comm {
     /// rebuild the full per-PE table before printing. The snapshot is
     /// taken *before* the gather's own traffic is counted.
     pub fn gather_stats(&mut self) -> Option<crate::stats::StatsSnapshot> {
-        let mine = self.stats().snapshot().per_pe()[self.rank()];
+        let mine = self.own_stats();
         let row = (
             mine.bytes_sent,
             mine.bytes_recv,

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::error::NetError;
-use crate::stats::CommStats;
+use crate::stats::{CommStats, PeStatsSnapshot};
 use crate::transport::{Packet, Transport};
 use crate::wire::{self, Wire};
 
@@ -130,6 +130,13 @@ impl Comm {
     /// The shared statistics registry for this run.
     pub fn stats(&self) -> &Arc<CommStats> {
         &self.stats
+    }
+
+    /// This PE's own counters, child scopes included: the row
+    /// [`Comm::gather_stats`] sends for it. In a multi-process run they
+    /// are the only counters this process sees move.
+    pub fn own_stats(&self) -> PeStatsSnapshot {
+        self.stats.snapshot().per_pe()[self.rank]
     }
 
     /// Send an already-encoded payload to `dest` with `tag`.

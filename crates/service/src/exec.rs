@@ -16,6 +16,7 @@
 use std::time::Instant;
 
 use ccheck::config::SumCheckConfig;
+use ccheck::lanes::{settle, Lanes};
 use ccheck::permutation::{PermCheckConfig, PermChecker};
 use ccheck::sketch::{Sketch, Tee};
 use ccheck::sort::check_globally_sorted;
@@ -40,9 +41,9 @@ use crate::job::{JobOp, JobSpec, Receipt, ReceiptComm, ReceiptTiming, Verdict};
 /// every retried attempt and a fallback); `check` is checker time,
 /// including the input fold every reduce and sort attempt's [`Tee`]
 /// runs inside the operation's pass (see [`PhaseTimes::rebook_fold`]).
-/// Whatever the job spent outside all three (digests, the stats gather)
-/// is the receipt overhead, reported to the metrics registry as the
-/// remainder.
+/// Whatever the job spent outside all three (digests, sort's digest
+/// offset, a fallback's closing allreduce) is the receipt overhead,
+/// reported to the metrics registry as the remainder.
 #[derive(Debug, Default, Clone, Copy)]
 struct PhaseTimes {
     generate_us: u64,
@@ -205,12 +206,47 @@ fn digest_sequence(start: u64, items: impl Iterator<Item = u64>) -> u64 {
     })
 }
 
-/// The receipt's `(digest, output_elems)`: every PE's digest term and
-/// output length, summed in one allreduce.
-fn receipt_totals(comm: &mut Comm, local_digest: u64, local_elems: usize) -> (u64, u64) {
-    comm.allreduce((local_digest, local_elems as u64), |a, b| {
-        (a.0.wrapping_add(b.0), a.1 + b.1)
-    })
+/// One PE's share of what a receipt totals over the PEs: its digest
+/// term, its output length, and its comm counters `[bytes sent, volume,
+/// msgs sent, rounds]` as they stand just before the job's final
+/// collective. That collective carries every PE's share to all of them
+/// ([`settle`] beside the verdict, or one allreduce after a fallback),
+/// combined by [`add_shares`]; the receipt's `comm` therefore stops
+/// before it.
+type Share = (u64, u64, [u64; 4]);
+
+/// This PE's [`Share`] of an output of `elems` elements with digest term
+/// `digest`. Read it just before the final collective.
+fn share(comm: &Comm, digest: u64, elems: usize) -> Share {
+    let mine = comm.own_stats();
+    let counters = [mine.bytes_sent, mine.volume(), mine.msgs_sent, mine.rounds];
+    (digest, elems as u64, counters)
+}
+
+/// Two [`Share`]s as one: digests add mod 2⁶⁴, lengths, bytes and
+/// messages add, volume and rounds take the larger — so the total of all
+/// PEs' shares holds the receipt's `digest`, `output_elems`,
+/// `total_bytes`, `bottleneck_bytes`, `total_msgs` and `max_rounds`.
+fn add_shares((d1, n1, c1): Share, (d2, n2, c2): Share) -> Share {
+    let counters = [
+        c1[0] + c2[0],
+        c1[1].max(c2[1]),
+        c1[2] + c2[2],
+        c1[3].max(c2[3]),
+    ];
+    (d1.wrapping_add(d2), n1 + n2, counters)
+}
+
+/// A reduce output's [`Share`]: its pairs' order-insensitive digest term.
+fn reduce_share(comm: &mut Comm, shard: &[(u64, u64)]) -> Share {
+    share(comm, digest_pairs(shard), shard.len())
+}
+
+/// A sort output's [`Share`]: its position-mixed digest term, at the
+/// global offset one prefix sum finds.
+fn sort_share(comm: &mut Comm, out: &[u64]) -> Share {
+    let (start, _) = comm.exclusive_prefix_sum(out.len() as u64);
+    share(comm, digest_sequence(start, out.iter().copied()), out.len())
 }
 
 /// Per-job trace-correlation id: the `(tenant, job_id, admit_seq)`
@@ -269,8 +305,10 @@ fn emit_phase_spans(ctx: &TraceCtx, start_us: u64, total_us: u64, ph: &PhaseTime
 
 /// Run one checking job to completion on this communicator. SPMD: every
 /// PE calls it with the same `(job_id, spec)`; every PE returns the same
-/// verdict/digest/element counts, and PE 0's receipt carries the
-/// gathered per-job communication volumes.
+/// verdict/digest/element counts, and PE 0's receipt carries the job's
+/// communication volumes up to its final collective: the one that
+/// settles the verdict and carries each PE's share of the receipt
+/// totals — its digest term, output length and comm counters.
 pub fn execute_job(comm: &mut Comm, job_id: u64, spec: &JobSpec) -> Receipt {
     execute_job_traced(comm, job_id, spec, None)
 }
@@ -289,14 +327,12 @@ pub fn execute_job_traced(
     let start_us = ccheck_obs::now_us();
     let t0 = Instant::now();
     let mut ph = PhaseTimes::default();
-    let (verdict, digest, output_elems) = match spec.op {
+    let (verdict, totals) = match spec.op {
         JobOp::Reduce => reduce_job(comm, spec, &mut ph),
         JobOp::Sort => sort_job(comm, spec, &mut ph),
         JobOp::Zip => zip_job(comm, spec, &mut ph),
     };
-    // Stats snapshot travels last, so it covers the whole job (minus the
-    // gather's own traffic, identically in every execution mode).
-    let stats = comm.gather_stats();
+    let (digest, output_elems, [total_bytes, bottleneck_bytes, total_msgs, max_rounds]) = totals;
     let total_us = t0.elapsed().as_micros() as u64;
     if ccheck_obs::enabled() {
         let obs = exec_obs();
@@ -337,11 +373,11 @@ pub fn execute_job_traced(
             exec_ms: (ph.generate_us + ph.execute_us) / 1000,
             check_ms: ph.check_us / 1000,
         }),
-        comm: stats.map(|s| ReceiptComm {
-            total_bytes: s.total_bytes(),
-            bottleneck_bytes: s.bottleneck_volume(),
-            total_msgs: s.total_messages(),
-            max_rounds: s.max_rounds(),
+        comm: (comm.rank() == 0).then_some(ReceiptComm {
+            total_bytes,
+            bottleneck_bytes,
+            total_msgs,
+            max_rounds,
         }),
         // Sealing fields (fingerprint + ledger hashes) are stamped by
         // the daemon when the receipt enters the ledger, never here.
@@ -386,32 +422,34 @@ impl<G: Iterator<Item = T>, T: Copy> Iterator for Input<'_, G, T> {
 }
 
 /// Run a job's single pass, `pass(comm, input, chunk, attempt, ph)` →
-/// (output, verified). A chunked job makes it once over its lazy input;
-/// a rejection stands. A one-shot job materializes the input and makes
-/// the pass over the held `Vec` at `chunk = usize::MAX`, through the
-/// shared retry loop, then `fallback` (booked to execute).
-fn checked_job<G: Iterator<Item = T>, T: Copy, O>(
+/// (the settled receipt totals, verified): the pass settles its verdict
+/// with its output's [`Share`]. A chunked job makes it once over its
+/// lazy input; a rejection stands. A one-shot job materializes the
+/// input and makes the pass over the held `Vec` at `chunk = usize::MAX`,
+/// through the shared retry loop, then `fallback` (booked to execute),
+/// whose output's `share` one allreduce totals.
+fn checked_job<G: Iterator<Item = T>, T: Copy, U>(
     comm: &mut Comm,
     spec: &JobSpec,
     ph: &mut PhaseTimes,
     input: G,
-    mut pass: impl FnMut(&mut Comm, Input<'_, G, T>, usize, usize, &mut PhaseTimes) -> (O, bool),
-    fallback: fn(&mut Comm, Vec<T>) -> O,
-) -> (O, Verdict) {
+    mut pass: impl FnMut(&mut Comm, Input<'_, G, T>, usize, usize, &mut PhaseTimes) -> (Share, bool),
+    fallback: fn(&mut Comm, Vec<T>) -> Vec<U>,
+    share: fn(&mut Comm, &[U]) -> Share,
+) -> (Verdict, Share) {
     if spec.chunk > 0 {
-        let (out, verified) = pass(comm, Input::Lazy(input), op_chunk(spec), 0, ph);
-        let verdict = if verified {
-            Verdict::Verified
-        } else {
-            Verdict::Rejected
-        };
-        return (out, verdict);
+        let (totals, verified) = pass(comm, Input::Lazy(input), op_chunk(spec), 0, ph);
+        return (verdict_of(verified), totals);
     }
     let data: Vec<T> = timed(&mut ph.generate_us, || input.collect());
     let mut fallback_us = 0;
-    let fallback = |comm: &mut Comm, data| timed(&mut fallback_us, || fallback(comm, data));
+    let fallback = |comm: &mut Comm, data| {
+        let out = timed(&mut fallback_us, || fallback(comm, data));
+        let mine = share(comm, &out);
+        comm.allreduce(mine, add_shares)
+    };
     let retries = spec.max_retries as usize;
-    let (out, outcome) = checked_with(comm, data, retries, fallback, |comm, data, i| {
+    let (totals, outcome) = checked_with(comm, data, retries, fallback, |comm, data, i| {
         let held = Input::Held(data.iter().copied());
         pass(comm, held, usize::MAX, i, ph)
     });
@@ -421,16 +459,25 @@ fn checked_job<G: Iterator<Item = T>, T: Copy, O>(
         CheckedOutcome::Retried { retries } => Verdict::VerifiedAfterRetry(retries as u32),
         CheckedOutcome::FellBack => Verdict::FellBack,
     };
-    (out, verdict)
+    (verdict, totals)
 }
 
-fn reduce_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u64, u64) {
+/// The verdict of a job that has no retry: verified, or rejected.
+fn verdict_of(verified: bool) -> Verdict {
+    if verified {
+        Verdict::Verified
+    } else {
+        Verdict::Rejected
+    }
+}
+
+fn reduce_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, Share) {
     let range = local_range(spec.n as usize, comm.rank(), comm.size());
     let input = zipf_valued_pairs_iter(spec.seed, spec.keys, 1 << 20, range);
     let hasher = Hasher::new(HasherKind::Tab64, spec.seed ^ 0x7061_7274);
     let (its, buckets) = (spec.iterations as usize, spec.buckets as usize);
     let cfg = SumCheckConfig::new(its, buckets, spec.log2_rhat, HasherKind::Tab64);
-    let (shard, verdict) = checked_job(
+    checked_job(
         comm,
         spec,
         ph,
@@ -450,27 +497,28 @@ fn reduce_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict,
                 out
             });
             ph.rebook_fold(fold_ns);
-            let verified = timed(&mut ph.check_us, || {
+            let mine = reduce_share(comm, &out);
+            let (verified, totals) = timed(&mut ph.check_us, || {
                 let mut asserted = checker.sketch();
                 asserted.update_iter(out.iter().copied());
-                checker.check_distributed_sketches(comm, seen, asserted)
+                let lanes = checker.lanes(seen.finalize(), asserted.finalize());
+                settle(comm, lanes, mine, add_shares)
             });
-            (out, verified)
+            (totals, verified)
         },
         reference_reduce,
-    );
-    let (digest, total_out) = receipt_totals(comm, digest_pairs(&shard), shard.len());
-    (verdict, digest, total_out)
+        reduce_share,
+    )
 }
 
-fn sort_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u64, u64) {
+fn sort_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, Share) {
     let range = local_range(spec.n as usize, comm.rank(), comm.size());
     let input = uniform_ints_iter(spec.seed, spec.keys.max(2), range);
     let mut cfg = PermCheckConfig::hash_sum(HasherKind::Tab64, 32);
     cfg.iterations = spec.iterations as usize;
     // Every attempt is checked with the same checker.
     let perm = PermChecker::new(cfg, check_seed(spec));
-    let (out, verdict) = checked_job(
+    checked_job(
         comm,
         spec,
         ph,
@@ -486,26 +534,25 @@ fn sort_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u
                 out
             });
             ph.rebook_fold(fold_ns);
-            // The permutation fingerprint of the teed input against the
-            // output, plus local/boundary sortedness. Same collective
-            // sequence on every PE (each sub-verdict is SPMD-consistent).
-            let verified = timed(&mut ph.check_us, || {
+            // Local/boundary sortedness (SPMD-consistent), then the
+            // permutation fingerprint of the teed input against the
+            // output, settled with the receipt totals.
+            let sorted = timed(&mut ph.check_us, || check_globally_sorted(comm, &out));
+            let mine = sort_share(comm, &out);
+            let (is_perm, totals) = timed(&mut ph.check_us, || {
                 let mut asserted = perm.sketch();
                 asserted.update_iter(out.iter().copied());
-                let is_perm = perm.check_distributed_sketches(comm, seen, asserted);
-                check_globally_sorted(comm, &out) && is_perm
+                let lanes = perm.lanes(seen.finalize(), asserted.finalize());
+                settle(comm, lanes, mine, add_shares)
             });
-            (out, verified)
+            (totals, sorted && is_perm)
         },
         reference_sort,
-    );
-    let (start, _) = comm.exclusive_prefix_sum(out.len() as u64);
-    let local_digest = digest_sequence(start, out.iter().copied());
-    let (digest, total_out) = receipt_totals(comm, local_digest, out.len());
-    (verdict, digest, total_out)
+        sort_share,
+    )
 }
 
-fn zip_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u64, u64) {
+fn zip_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, Share) {
     let range = local_range(spec.n as usize, comm.rank(), comm.size());
     let a: Vec<u64> = timed(&mut ph.generate_us, || {
         uniform_ints_iter(spec.seed ^ 0xA11CE, u64::MAX, range.clone()).collect()
@@ -532,19 +579,27 @@ fn zip_job(comm: &mut Comm, spec: &JobSpec, ph: &mut PhaseTimes) -> (Verdict, u6
         },
         check_seed(spec),
     );
-    let verified = timed(&mut ph.check_us, || {
-        let zipped = (out.len() as u64, out.iter().copied());
-        checker.check_stream(comm, (len, a.iter().copied()), (len, b()), zipped)
+    // `ZipChecker::check_stream` split in two: its prefix sum over the
+    // three lengths also gives the output's digest offset, and its
+    // verdict settles the receipt totals.
+    let out_len = out.len() as u64;
+    let (starts, [n, _, nz]) = timed(&mut ph.check_us, || {
+        comm.exclusive_prefix_sums([len, len, out_len])
     });
-    let verdict = if verified {
-        Verdict::Verified
-    } else {
-        Verdict::Rejected
-    };
-    let (start, _) = comm.exclusive_prefix_sum(out.len() as u64);
-    let local_digest = digest_sequence(start, out.iter().map(|&(x, y)| mix(x).wrapping_add(y)));
-    let (digest, total_out) = receipt_totals(comm, local_digest, out.len());
-    (verdict, digest, total_out)
+    let zipped = out.iter().map(|&(x, y)| mix(x).wrapping_add(y));
+    let mine = share(comm, digest_sequence(starts[2], zipped), out.len());
+    let (verified, totals) = timed(&mut ph.check_us, || {
+        // `a` and `b` have one length; an output of another global
+        // length rejects before any stream is read.
+        let lanes = if n == nz {
+            let zipped = (out_len, out.iter().copied());
+            checker.lanes(starts, (len, a.iter().copied()), (len, b()), zipped)
+        } else {
+            Lanes::veto(true)
+        };
+        settle(comm, lanes, mine, add_shares)
+    });
+    (verdict_of(verified), totals)
 }
 
 #[cfg(test)]

@@ -502,7 +502,9 @@ impl Verdict {
 
 /// Per-job communication accounting, from the job's scoped
 /// communicator's own [`ccheck_net::CommStats`] — byte-for-byte what
-/// the job would report running alone on a dedicated world.
+/// the job would report running alone on a dedicated world. It covers
+/// the job up to its final collective, which carries every PE's counters
+/// to PE 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReceiptComm {
     /// Total payload bytes across all PEs.
