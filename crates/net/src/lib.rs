@@ -7,10 +7,11 @@
 //! * a **message-passing runtime** with a pluggable [`transport`] layer:
 //!   `p` processing elements (PEs) communicate through tagged
 //!   point-to-point channels ([`Comm`]) over either the in-process
-//!   backend ([`transport::local`]: PEs as threads, crossbeam channels)
-//!   or the multi-process TCP backend ([`transport::tcp`]:
-//!   length-prefixed frames over socket meshes, one process per PE,
-//!   wired up by [`bootstrap`] under the `ccheck-launch` launcher),
+//!   backend ([`transport::local`]: PEs as threads, `std::sync::mpsc`
+//!   channels) or the multi-process TCP backend
+//!   ([`transport::tcp`]: length-prefixed frames over socket meshes,
+//!   one process per PE, wired up by [`bootstrap`] under the
+//!   `ccheck-launch` launcher),
 //! * **collective operations** (broadcast, reduce, allreduce — tree and
 //!   bandwidth-optimal butterfly — gather, allgather, scan, all-to-all —
 //!   direct and hypercube — barrier, neighbor exchange) built from

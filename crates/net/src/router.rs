@@ -1,6 +1,6 @@
 //! Run harness: spawn `p` PE threads wired together through a pluggable
-//! transport backend (crossbeam channels by default, real TCP loopback
-//! sockets on request).
+//! transport backend (`std::sync::mpsc` channels by default, real TCP
+//! loopback sockets on request).
 
 use std::sync::Arc;
 

@@ -46,10 +46,9 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::comm::{Comm, Tag};
 use crate::error::{NetError, Result};
@@ -250,7 +249,7 @@ impl CommMux {
     }
 
     fn register(&self, scope: u64) -> Receiver<ScopeEvent> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut st = self.shared.lock_state();
         assert!(
             st.live.insert(scope),

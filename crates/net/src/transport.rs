@@ -7,8 +7,9 @@
 //! the crate:
 //!
 //! * [`local`] — the original in-process backend: every PE is a thread
-//!   and packets travel through unbounded crossbeam channels. Zero
-//!   syscalls, deterministic, the default for tests and single-host runs.
+//!   and packets travel through unbounded `std::sync::mpsc` channels.
+//!   Zero syscalls, deterministic, the default for tests and
+//!   single-host runs.
 //! * [`tcp`] — a real multi-process backend: every PE is an OS process
 //!   and packets travel as length-prefixed frames over
 //!   `std::net::TcpStream` meshes (one socket per peer pair, one reader
@@ -108,7 +109,7 @@ pub trait TransportSender: Send {
 /// under the `ccheck-launch` launcher).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Threads + crossbeam channels (the default).
+    /// Threads + `std::sync::mpsc` channels (the default).
     Local,
     /// Real TCP sockets over `127.0.0.1`, PEs still running as threads
     /// of this process. Exercises the full framing/reader-thread path;

@@ -1,4 +1,4 @@
-//! In-process backend: one unbounded crossbeam channel per PE.
+//! In-process backend: one unbounded `std::sync::mpsc` channel per PE.
 //!
 //! This is the seed runtime's original data path, now behind the
 //! [`Transport`] trait: each transport holds a sender into every *peer's*
@@ -8,7 +8,7 @@
 //! dropped the receiver disconnects, which surfaces as
 //! [`NetError::TornDown`].
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::comm::Tag;
 use crate::error::{NetError, Result};
@@ -33,7 +33,7 @@ impl LocalTransport {
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
         for _ in 0..p {
-            let (tx, rx) = unbounded::<Packet>();
+            let (tx, rx) = channel::<Packet>();
             senders.push(tx);
             receivers.push(rx);
         }

@@ -29,10 +29,9 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::comm::Tag;
 use crate::error::{NetError, Result};
@@ -326,7 +325,7 @@ impl TcpTransport {
         // One reader thread per socket, all feeding one event queue. The
         // transport keeps no Sender of its own, so an empty queue with
         // all readers gone is observable as disconnection.
-        let (tx, events) = unbounded::<Event>();
+        let (tx, events) = channel::<Event>();
         let mut writers: Vec<Option<TcpStream>> = Vec::new();
         writers.resize_with(size, || None);
         let mut readers = Vec::new();

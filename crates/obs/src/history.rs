@@ -202,11 +202,25 @@ pub struct HistoryWriter {
 }
 
 impl HistoryWriter {
-    /// Open (or create) the history at `path`, truncating any torn
-    /// tail — same crash-recovery semantics as the receipt ledger.
+    /// Open (or create) the history at `path`: [`HistoryWriter::open_with`]
+    /// with a visitor that ignores the records.
     pub fn open(path: impl AsRef<Path>) -> io::Result<HistoryWriter> {
+        HistoryWriter::open_with(path, |_| {})
+    }
+
+    /// Open (or create) the history at `path`, handing every record of
+    /// its valid prefix to `visit` in append order — how a restarting
+    /// daemon refolds its SLO state in the one pass that opens the file.
+    /// The valid prefix ends at the first framing damage or the first
+    /// envelope that does not decode, and the rest is truncated: the
+    /// same prefix [`HistoryReader`] reads and compaction keeps, so
+    /// appends never land behind a record the readers stop at.
+    pub fn open_with(
+        path: impl AsRef<Path>,
+        visit: impl FnMut(HistoryRecord),
+    ) -> io::Result<HistoryWriter> {
         Ok(HistoryWriter {
-            log: RecordLog::open(path, HISTORY_MAGIC)?,
+            log: open_log(path.as_ref(), visit)?,
             cfg: CompactionCfg::default(),
             appends_since_compact: 0,
         })
@@ -299,19 +313,23 @@ impl HistoryWriter {
         let path = self.log.path().to_path_buf();
         let tmp = tmp_path(&path);
         {
+            // A pass that died before its rename leaves a stale temp
+            // file; its records must not be kept twice.
+            match std::fs::remove_file(&tmp) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
             let mut out = RecordLog::open(&tmp, HISTORY_MAGIC)?;
-            out.set_sync_every(u32::MAX); // one sync at the end
-                                          // Last-record-per-bucket state for the record being held
-                                          // back; flushed when the bucket key changes. Records arrive
-                                          // in append order, which is time order per kind, so one
-                                          // held record per kind suffices — bounded memory regardless
-                                          // of log size.
+            // One sync at the end.
+            out.set_sync_every(u32::MAX);
+            // Last-record-per-bucket state for the record being held
+            // back; flushed when the bucket key changes. Records arrive
+            // in append order, which is time order per kind, so one
+            // held record per kind suffices — bounded memory regardless
+            // of log size.
             let mut held: [Option<(u64, HistoryRecord)>; 2] = [None, None];
-            for payload in RecordReader::open(&path, HISTORY_MAGIC)? {
-                let payload = payload?;
-                let Some(mut record) = HistoryRecord::decode(&payload) else {
-                    break; // valid-prefix rule: stop at envelope damage
-                };
+            for record in HistoryReader::open(&path)? {
+                let mut record = record?;
                 let slot = match record.payload {
                     HistoryPayload::Alert(_) => {
                         out.append(&record.encode())?;
@@ -356,10 +374,18 @@ impl HistoryWriter {
             out.sync()?;
         }
         std::fs::rename(&tmp, &path)?;
-        self.log = RecordLog::open(&path, HISTORY_MAGIC)?;
+        self.log = open_log(&path, |_| {})?;
         self.appends_since_compact = 0;
         Ok(())
     }
+}
+
+/// The history's [`RecordLog`], its valid prefix ending at the first
+/// record whose envelope does not decode.
+fn open_log(path: &Path, mut visit: impl FnMut(HistoryRecord)) -> io::Result<RecordLog> {
+    RecordLog::open_with(path, HISTORY_MAGIC, |_, payload| {
+        HistoryRecord::decode(payload).map(&mut visit).is_some()
+    })
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -483,18 +509,74 @@ mod tests {
         w.append_sample(1200, b"{\"seq\":3}").unwrap();
         w.sync().unwrap();
         drop(w);
-        let seqs: Vec<Vec<u8>> = HistoryReader::open(&path)
+        assert_eq!(
+            sample_seqs(&path),
+            vec![b"{\"seq\":1}".to_vec(), b"{\"seq\":3}".to_vec()],
+            "torn second record dropped, third appended cleanly"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn sample_seqs(path: &Path) -> Vec<Vec<u8>> {
+        HistoryReader::open(path)
             .unwrap()
             .map(|r| match r.unwrap().payload {
                 HistoryPayload::Sample(json) => json,
                 other => panic!("unexpected {other:?}"),
             })
-            .collect();
-        assert_eq!(
-            seqs,
-            vec![b"{\"seq\":1}".to_vec(), b"{\"seq\":3}".to_vec()],
-            "torn second record dropped, third appended cleanly"
-        );
+            .collect()
+    }
+
+    /// A record that frames but whose envelope does not decode ends the
+    /// valid prefix for the writer too: reopening truncates it, so a
+    /// later append is read back by the reader and kept by compaction
+    /// instead of landing behind a record both stop at.
+    #[test]
+    fn undecodable_record_ends_the_prefix_for_writer_reader_and_compaction() {
+        let path = temp_path("undecodable");
+        let _ = std::fs::remove_file(&path);
+        let mut w = HistoryWriter::open(&path).unwrap();
+        w.append_sample(1000, b"{\"seq\":1}").unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let mut log = RecordLog::open(&path, HISTORY_MAGIC).unwrap();
+        let mut unknown_kind = HistoryRecord {
+            res: Resolution::Raw,
+            wall_ms: 1100,
+            payload: HistoryPayload::Sample(b"{\"seq\":2}".to_vec()),
+        }
+        .encode();
+        unknown_kind[0] = 9;
+        log.append(&unknown_kind).unwrap();
+        log.sync().unwrap();
+        drop(log);
+
+        let mut replayed = Vec::new();
+        let mut w = HistoryWriter::open_with(&path, |r| replayed.push(r.wall_ms)).unwrap();
+        assert_eq!((w.replayed(), replayed), (1, vec![1000]));
+        w.append_sample(1200, b"{\"seq\":3}").unwrap();
+        w.sync().unwrap();
+        let both = vec![b"{\"seq\":1}".to_vec(), b"{\"seq\":3}".to_vec()];
+        assert_eq!(sample_seqs(&path), both);
+        w.compact(1200).unwrap();
+        drop(w);
+        assert_eq!(sample_seqs(&path), both, "compaction keeps both");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A compaction that died before its rename leaves its temp file;
+    /// the next pass starts that file afresh instead of appending to it.
+    #[test]
+    fn compaction_ignores_a_stale_temp_file() {
+        let path = temp_path("stale-tmp");
+        let _ = std::fs::remove_file(&path);
+        let mut w = HistoryWriter::open(&path).unwrap();
+        w.append_sample(1000, b"{\"seq\":1}").unwrap();
+        w.sync().unwrap();
+        std::fs::copy(&path, tmp_path(&path)).unwrap();
+        w.compact(1000).unwrap();
+        drop(w);
+        assert_eq!(sample_seqs(&path), vec![b"{\"seq\":1}".to_vec()]);
         std::fs::remove_file(&path).unwrap();
     }
 

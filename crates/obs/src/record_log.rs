@@ -1,16 +1,13 @@
-//! Crash-safe record framing shared by every append-only log in the
-//! workspace.
-//!
-//! The receipt ledger (`crates/service/src/ledger.rs`) proved a framing
-//! discipline for durable logs — a magic header followed by
-//! `len:u32 LE ‖ crc32c:u32 LE ‖ payload` records, torn tails truncated
-//! on reopen, fsyncs batched — and the metrics history ([`crate::history`])
-//! needs exactly the same one. This module is that framing, extracted:
-//! [`encode_frame`] / [`decode_frame`] are the byte-level contract
-//! (asserted byte-identical to the pre-extraction ledger files by a
-//! fixture-replay regression test in the service crate), and
-//! [`RecordLog`] / [`RecordReader`] are the file-backed writer and the
-//! bounded-memory streaming reader built on it.
+//! Crash-safe record framing: the one code that opens, appends to,
+//! reads and recovers every durable log in the workspace — the receipt
+//! ledger (`crates/service/src/ledger.rs`) and the metrics history
+//! ([`crate::history`]). [`encode_frame`] / [`decode_frame`] are the
+//! byte-level contract (asserted byte-identical to the pre-extraction
+//! ledger files by a fixture-replay regression test in the service
+//! crate); [`RecordLog`] / [`RecordReader`] are the file-backed log and
+//! the bounded-memory streaming reader built on it. What a payload
+//! means, and so which framed records are valid, is the caller's:
+//! opening hands every record to a visitor that may end the log there.
 //!
 //! ## Framing (normative — `docs/PROTOCOL.md` §6.1)
 //!
@@ -39,8 +36,13 @@
 //! buffers, and the known-vector test below pins the convention.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Instant;
+
+use crate::metrics::Histogram;
 
 /// Hard cap on one record's payload size. Real records are hundreds of
 /// bytes to a few KiB; a length word beyond this is framing corruption,
@@ -102,110 +104,126 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// Split a frame header into `(len, crc)`; `None` for a length word
+/// beyond [`MAX_RECORD_LEN`].
+fn parse_header(header: &[u8]) -> Option<(usize, u32)> {
+    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    (len <= MAX_RECORD_LEN).then_some((len as usize, crc))
+}
+
 /// Decode the frame at `offset` in an in-memory log image:
 /// `Some((payload, next_offset))` for a complete, CRC-valid record,
 /// `None` for end-of-log or any framing damage (a torn length word,
 /// oversized length, short payload, and a CRC mismatch all read as
 /// "the log ends here").
 pub fn decode_frame(bytes: &[u8], offset: usize) -> Option<(&[u8], usize)> {
-    let header = bytes.get(offset..offset + FRAME_HEADER_LEN)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_RECORD_LEN {
-        return None;
-    }
+    let (len, crc) = parse_header(bytes.get(offset..offset + FRAME_HEADER_LEN)?)?;
     let start = offset + FRAME_HEADER_LEN;
-    let payload = bytes.get(start..start + len as usize)?;
-    if crc32c(payload) != crc {
-        return None;
-    }
-    Some((payload, start + len as usize))
+    let payload = bytes.get(start..start + len)?;
+    (crc32c(payload) == crc).then_some((payload, start + len))
 }
 
-/// An append-only framed log file: magic header, framed records,
-/// torn-tail truncation on open, batched fsync.
+/// An append-only framed log file: magic header, framed records, the
+/// valid prefix kept on open, positional appends, batched fsync.
 ///
-/// [`RecordLog`] owns only the *framing* layer; what the payloads mean
+/// [`RecordLog`] owns every byte of the file; what the payloads mean
 /// is the caller's contract (receipts for the ledger, history records
-/// for [`crate::history`]). Opening scans the existing file record by
-/// record in bounded memory, truncates anything after the last valid
-/// record, and positions for append.
+/// for [`crate::history`]), expressed as the visitor of
+/// [`RecordLog::open_with`]. The handle remembers only where the valid
+/// log ends, so appends, reads and truncation all agree on it.
 #[derive(Debug)]
 pub struct RecordLog {
     file: File,
     path: PathBuf,
+    /// Length of the valid log: where the next record is written.
+    end: u64,
     /// Appends since the last fsync.
     unsynced: u32,
     /// Fsync after this many appends (≥ 1).
     sync_every: u32,
     /// Valid records found on open (before any appends).
     replayed: u64,
+    /// Append and fsync latency histograms, when the owner wants them.
+    timers: Option<LogTimers>,
+}
+
+/// Histograms a [`RecordLog`] records each append's frame-and-write
+/// time and each fsync's time into (µs), while collection is on.
+#[derive(Debug, Clone)]
+pub struct LogTimers {
+    /// One append: framing plus the positional write.
+    pub append_us: Arc<Histogram>,
+    /// One fsync of the batched appends.
+    pub fsync_us: Arc<Histogram>,
 }
 
 impl RecordLog {
     /// Open (or create) the framed log at `path` under the given magic
-    /// header. A new file gets the magic written and synced; an
-    /// existing file must start with it. The record stream is scanned
-    /// in bounded memory and a torn tail — a partially written final
-    /// record from a crash — is truncated away.
+    /// header, keeping every well-framed record: [`RecordLog::open_with`]
+    /// with a visitor that accepts all.
     pub fn open(path: impl AsRef<Path>, magic: &[u8]) -> io::Result<RecordLog> {
+        RecordLog::open_with(path, magic, |_, _| true)
+    }
+
+    /// Open (or create) the framed log at `path` under the given magic
+    /// header. A new file gets the magic written and synced; an
+    /// existing file must start with it. The records are streamed in
+    /// bounded memory, each handed to `visit` as `(offset, payload)` in
+    /// append order, and the valid log ends at the first framing damage
+    /// or the first record `visit` refuses (returns `false` for):
+    /// everything from there on — a torn tail from a crash, or a record
+    /// that frames but means nothing to the caller — is truncated away,
+    /// so the next append starts on the valid end.
+    pub fn open_with(
+        path: impl AsRef<Path>,
+        magic: &[u8],
+        mut visit: impl FnMut(u64, &[u8]) -> bool,
+    ) -> io::Result<RecordLog> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
         let file_len = file.metadata()?.len();
-        if file_len == 0 {
-            file.write_all(magic)?;
-            file.sync_data()?;
-            return Ok(RecordLog {
-                file,
-                path,
-                unsynced: 0,
-                sync_every: DEFAULT_SYNC_EVERY,
-                replayed: 0,
-            });
-        }
-        let mut header = vec![0u8; magic.len()];
-        let ok = file_len >= magic.len() as u64 && {
-            file.read_exact(&mut header)?;
-            header == magic
-        };
-        if !ok {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} is not a framed record log (bad magic)", path.display()),
-            ));
-        }
-        let mut reader = BufReader::new(file.try_clone()?);
-        reader.seek(SeekFrom::Start(magic.len() as u64))?;
-        let mut valid_end = magic.len() as u64;
-        let mut replayed = 0u64;
-        while let Some(payload) = read_frame(&mut reader)? {
-            valid_end += (FRAME_HEADER_LEN + payload.len()) as u64;
-            replayed += 1;
-        }
-        if valid_end < file_len {
-            // Torn tail from a mid-write crash: drop it so the next
-            // append starts on a clean record boundary.
-            file.set_len(valid_end)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok(RecordLog {
+        let mut log = RecordLog {
             file,
             path,
+            end: magic.len() as u64,
             unsynced: 0,
             sync_every: DEFAULT_SYNC_EVERY,
-            replayed,
-        })
+            replayed: 0,
+            timers: None,
+        };
+        if file_len == 0 {
+            log.file.write_all_at(magic, 0)?;
+            log.file.sync_data()?;
+            return Ok(log);
+        }
+        for payload in RecordReader::start(log.file.try_clone()?, magic, &log.path)? {
+            let payload = payload?;
+            if !visit(log.end, &payload) {
+                break;
+            }
+            log.end += (FRAME_HEADER_LEN + payload.len()) as u64;
+            log.replayed += 1;
+        }
+        if log.end < file_len {
+            log.file.set_len(log.end)?;
+            log.file.sync_data()?;
+        }
+        Ok(log)
     }
 
-    /// Append one framed record. Fsyncs are batched every
-    /// `sync_every`th append; call [`RecordLog::sync`] to force one.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+    /// Append one framed record at the valid end and return its offset
+    /// (what [`RecordLog::read_at`] takes). The write is positional, not
+    /// at a file cursor, and the valid end moves only once the append
+    /// has landed — written and, when this append fills the fsync
+    /// batch, synced. An append that fails therefore leaves the log as
+    /// it was, and the next one overwrites whatever it left behind.
+    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
         if payload.len() > MAX_RECORD_LEN as usize {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -215,18 +233,50 @@ impl RecordLog {
                 ),
             ));
         }
-        self.file.write_all(&encode_frame(payload))?;
+        let started = Instant::now();
+        let frame = encode_frame(payload);
+        self.file.write_all_at(&frame, self.end)?;
+        if let Some(timers) = self.timers.as_ref().filter(|_| crate::enabled()) {
+            timers
+                .append_us
+                .observe(started.elapsed().as_micros() as u64);
+        }
         self.unsynced += 1;
         if self.unsynced >= self.sync_every {
             self.sync()?;
         }
-        Ok(())
+        let offset = self.end;
+        self.end += frame.len() as u64;
+        Ok(offset)
+    }
+
+    /// Read back the record at `offset` (as [`RecordLog::append`] or the
+    /// `open_with` visitor gave it), CRC-checked. `None` if no whole,
+    /// intact record of the valid log starts there — the file no longer
+    /// holds what was written.
+    pub fn read_at(&self, offset: u64) -> Option<Vec<u8>> {
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        self.file.read_exact_at(&mut header, offset).ok()?;
+        let (len, crc) = parse_header(&header)?;
+        let start = offset + FRAME_HEADER_LEN as u64;
+        if start + len as u64 > self.end {
+            return None;
+        }
+        let mut payload = vec![0u8; len];
+        self.file.read_exact_at(&mut payload, start).ok()?;
+        (crc32c(&payload) == crc).then_some(payload)
     }
 
     /// Force the batched appends to durable storage.
     pub fn sync(&mut self) -> io::Result<()> {
         if self.unsynced > 0 {
+            let started = Instant::now();
             self.file.sync_data()?;
+            if let Some(timers) = self.timers.as_ref().filter(|_| crate::enabled()) {
+                timers
+                    .fsync_us
+                    .observe(started.elapsed().as_micros() as u64);
+            }
             self.unsynced = 0;
         }
         Ok(())
@@ -235,6 +285,11 @@ impl RecordLog {
     /// Fsync after this many appends (clamped to ≥ 1; 1 = every append).
     pub fn set_sync_every(&mut self, every: u32) {
         self.sync_every = every.max(1);
+    }
+
+    /// Record append and fsync latencies into `timers` from now on.
+    pub fn set_timers(&mut self, timers: LogTimers) {
+        self.timers = Some(timers);
     }
 
     /// The log's file path.
@@ -258,39 +313,29 @@ fn read_frame(reader: &mut BufReader<File>) -> io::Result<Option<Vec<u8>>> {
     if !read_exact_or_eof(reader, &mut header)? {
         return Ok(None);
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_RECORD_LEN {
+    let Some((len, crc)) = parse_header(&header) else {
         return Ok(None);
-    }
-    let mut payload = vec![0u8; len as usize];
+    };
+    let mut payload = vec![0u8; len];
     if !read_exact_or_eof(reader, &mut payload)? {
         return Ok(None);
     }
-    if crc32c(&payload) != crc {
-        return Ok(None);
-    }
-    Ok(Some(payload))
+    Ok((crc32c(&payload) == crc).then_some(payload))
 }
 
 /// Fill `buf` exactly, distinguishing "clean or torn EOF" (`false`)
 /// from a real I/O error.
-fn read_exact_or_eof(reader: &mut impl BufRead, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let n = reader.read(&mut buf[filled..])?;
-        if n == 0 {
-            return Ok(false);
-        }
-        filled += n;
+fn read_exact_or_eof(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+    match reader.read_exact(buf) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        done => done.map(|()| true),
     }
-    Ok(true)
 }
 
 /// Streaming reader over a framed log: yields payloads in append order
 /// in bounded memory (one record buffered at a time), stopping silently
-/// at the first framing damage — the same valid-prefix rule the writer
-/// enforces on open.
+/// at the first framing damage — the framing half of the valid-prefix
+/// rule [`RecordLog::open_with`] enforces.
 #[derive(Debug)]
 pub struct RecordReader {
     reader: BufReader<File>,
@@ -301,16 +346,17 @@ impl RecordReader {
     /// Open the framed log at `path` for streaming reads, verifying the
     /// magic header.
     pub fn open(path: impl AsRef<Path>, magic: &[u8]) -> io::Result<RecordReader> {
-        let file = File::open(path.as_ref())?;
+        RecordReader::start(File::open(path.as_ref())?, magic, path.as_ref())
+    }
+
+    /// Read from `file`'s cursor, which must sit on the magic header.
+    fn start(file: File, magic: &[u8], path: &Path) -> io::Result<RecordReader> {
         let mut reader = BufReader::new(file);
         let mut header = vec![0u8; magic.len()];
         if !read_exact_or_eof(&mut reader, &mut header)? || header != magic {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!(
-                    "{} is not a framed record log (bad magic)",
-                    path.as_ref().display()
-                ),
+                format!("{} is not a framed record log (bad magic)", path.display()),
             ));
         }
         Ok(RecordReader {
@@ -327,17 +373,9 @@ impl Iterator for RecordReader {
         if self.done {
             return None;
         }
-        match read_frame(&mut self.reader) {
-            Ok(Some(payload)) => Some(Ok(payload)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
+        let frame = read_frame(&mut self.reader).transpose();
+        self.done = !matches!(frame, Some(Ok(_)));
+        frame
     }
 }
 
@@ -472,6 +510,54 @@ mod tests {
             read,
             vec![b"first-record".to_vec(), b"replacement".to_vec()]
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The caller's half of the valid-prefix rule: a record `visit`
+    /// refuses ends the log exactly at its offset, the next append lands
+    /// there, and `read_at` reads every appended record back — until a
+    /// payload byte flips on disk.
+    #[test]
+    fn refused_record_ends_the_log_and_read_at_checks_the_crc() {
+        let path = temp_path("refuse");
+        let _ = std::fs::remove_file(&path);
+        let records: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i; 3 + i as usize]).collect();
+        let mut log = RecordLog::open(&path, MAGIC).unwrap();
+        let offsets: Vec<u64> = records.iter().map(|r| log.append(r).unwrap()).collect();
+        assert_eq!(offsets[0], MAGIC.len() as u64);
+        for (&offset, record) in offsets.iter().zip(&records) {
+            assert_eq!(log.read_at(offset).as_ref(), Some(record));
+        }
+        log.sync().unwrap();
+        drop(log);
+
+        let k = 3;
+        let mut visited = Vec::new();
+        let mut log = RecordLog::open_with(&path, MAGIC, |offset, payload| {
+            visited.push(offset);
+            payload != records[k].as_slice()
+        })
+        .unwrap();
+        assert_eq!(
+            visited,
+            offsets[..=k],
+            "visited in order, none after the refusal"
+        );
+        assert_eq!(log.replayed(), k as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), offsets[k]);
+        assert_eq!(log.read_at(offsets[k]), None, "past the valid end");
+        assert_eq!(log.append(b"after").unwrap(), offsets[k]);
+        for (&offset, record) in offsets[..k].iter().zip(&records) {
+            assert_eq!(log.read_at(offset).as_ref(), Some(record));
+        }
+        assert_eq!(log.read_at(offsets[k]).as_deref(), Some(&b"after"[..]));
+
+        // One flipped payload byte on disk: the CRC refuses the read.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[offsets[1] as usize + FRAME_HEADER_LEN] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(log.read_at(offsets[1]), None);
+        assert_eq!(log.read_at(offsets[0]).as_ref(), Some(&records[0]));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -942,45 +942,39 @@ pub fn run_service(comm: Comm, cfg: &ServiceConfig) -> ServiceSummary {
                     .unwrap_or_else(|e| panic!("ccheck-serve: bad SLO file {path:?}: {e}"))
             }
         });
-        // Open the history past any torn tail, then replay it through
-        // the SLO engine: samples refold the burn-rate windows
-        // (silently — their transitions are already durable), alert
-        // records refill the retained ring. After this, live
+        // Open the history at its valid prefix, replaying it through
+        // the SLO engine in the same pass: samples refold the burn-rate
+        // windows (silently — their transitions are already durable),
+        // alert records refill the retained ring. After this, live
         // evaluation continues as if the restart never happened.
         let history = cfg.history_path.as_ref().map(|path| {
-            let writer = HistoryWriter::open(path)
-                .unwrap_or_else(|e| panic!("ccheck-serve: cannot open history {path:?}: {e}"));
-            if writer.replayed() > 0 {
-                let reader = HistoryReader::open(path).unwrap_or_else(|e| {
-                    panic!("ccheck-serve: cannot replay history {path:?}: {e}")
-                });
-                let (mut samples, mut alerts) = (0u64, 0u64);
-                for record in reader {
-                    let Ok(record) = record else { break };
-                    match &record.payload {
-                        HistoryPayload::Sample(bytes) => {
-                            if let Some(sample) = std::str::from_utf8(bytes)
-                                .ok()
-                                .and_then(|t| crate::json::parse(t).ok())
-                                .and_then(|j| WatchSample::from_json(&j).ok())
-                            {
-                                slo_engine.observe(&sample, false);
-                                samples += 1;
-                            }
+            let (mut samples, mut alerts) = (0u64, 0u64);
+            let writer = HistoryWriter::open_with(path, |record| {
+                let json = |bytes: &[u8]| {
+                    std::str::from_utf8(bytes)
+                        .ok()
+                        .and_then(|t| crate::json::parse(t).ok())
+                };
+                match &record.payload {
+                    HistoryPayload::Sample(bytes) => {
+                        if let Some(sample) =
+                            json(bytes).and_then(|j| WatchSample::from_json(&j).ok())
+                        {
+                            slo_engine.observe(&sample, false);
+                            samples += 1;
                         }
-                        HistoryPayload::Alert(bytes) => {
-                            if let Some(ev) = std::str::from_utf8(bytes)
-                                .ok()
-                                .and_then(|t| crate::json::parse(t).ok())
-                                .and_then(|j| AlertEvent::from_json(&j).ok())
-                            {
-                                slo_engine.restore_event(ev);
-                                alerts += 1;
-                            }
-                        }
-                        HistoryPayload::Metrics(_) => {}
                     }
+                    HistoryPayload::Alert(bytes) => {
+                        if let Some(ev) = json(bytes).and_then(|j| AlertEvent::from_json(&j).ok()) {
+                            slo_engine.restore_event(ev);
+                            alerts += 1;
+                        }
+                    }
+                    HistoryPayload::Metrics(_) => {}
                 }
+            })
+            .unwrap_or_else(|e| panic!("ccheck-serve: cannot open history {path:?}: {e}"));
+            if writer.replayed() > 0 {
                 ccheck_obs::info!(
                     "service",
                     "history {path:?}: replayed {} records ({samples} samples, \

@@ -351,6 +351,27 @@ impl JobSpec {
     }
 }
 
+impl Wire for FaultSpec {
+    fn write(&self, buf: &mut Vec<u8>) {
+        self.kind.write(buf);
+        self.seed.write(buf);
+    }
+
+    fn read(input: &mut &[u8]) -> Option<Self> {
+        Some(FaultSpec {
+            kind: String::read(input)?,
+            seed: u64::read(input)?,
+        })
+    }
+
+    fn wire_size(&self) -> usize {
+        self.kind.wire_size() + 8
+    }
+}
+
+/// A spec on the wire: the op tag, the dataset and checker numbers as
+/// one tuple, then each optional field as an `Option` (a 0/1 tag, then
+/// the value) and the check mode as a `bool`.
 impl Wire for JobSpec {
     fn write(&self, buf: &mut Vec<u8>) {
         let op = match self.op {
@@ -372,25 +393,12 @@ impl Wire for JobSpec {
             ),
         )
             .write(buf);
-        self.fault.is_some().write(buf);
-        if let Some(fault) = &self.fault {
-            fault.kind.write(buf);
-            fault.seed.write(buf);
-        }
-        self.tenant.is_some().write(buf);
-        if let Some(tenant) = &self.tenant {
-            tenant.write(buf);
-        }
+        self.fault.write(buf);
+        self.tenant.write(buf);
         self.priority.write(buf);
-        self.deadline_ms.is_some().write(buf);
-        if let Some(deadline) = self.deadline_ms {
-            deadline.write(buf);
-        }
+        self.deadline_ms.write(buf);
         matches!(self.check, CheckMode::Adaptive).write(buf);
-        self.job_id.is_some().write(buf);
-        if let Some(job_id) = self.job_id {
-            job_id.write(buf);
-        }
+        self.job_id.write(buf);
     }
 
     fn read(input: &mut &[u8]) -> Option<Self> {
@@ -401,36 +409,7 @@ impl Wire for JobSpec {
             _ => return None,
         };
         let (n, keys, seed, chunk, (iterations, buckets, log2_rhat, max_retries)) =
-            <(u64, u64, u64, u64, (u32, u32, u32, u32))>::read(input)?;
-        let fault = if bool::read(input)? {
-            Some(FaultSpec {
-                kind: String::read(input)?,
-                seed: u64::read(input)?,
-            })
-        } else {
-            None
-        };
-        let tenant = if bool::read(input)? {
-            Some(String::read(input)?)
-        } else {
-            None
-        };
-        let priority = u32::read(input)?;
-        let deadline_ms = if bool::read(input)? {
-            Some(u64::read(input)?)
-        } else {
-            None
-        };
-        let check = if bool::read(input)? {
-            CheckMode::Adaptive
-        } else {
-            CheckMode::Explicit
-        };
-        let job_id = if bool::read(input)? {
-            Some(u64::read(input)?)
-        } else {
-            None
-        };
+            Wire::read(input)?;
         Some(JobSpec {
             op,
             n,
@@ -441,28 +420,28 @@ impl Wire for JobSpec {
             buckets,
             log2_rhat,
             max_retries,
-            fault,
-            tenant,
-            priority,
-            deadline_ms,
-            check,
-            job_id,
+            fault: Wire::read(input)?,
+            tenant: Wire::read(input)?,
+            priority: Wire::read(input)?,
+            deadline_ms: Wire::read(input)?,
+            check: if bool::read(input)? {
+                CheckMode::Adaptive
+            } else {
+                CheckMode::Explicit
+            },
+            job_id: Wire::read(input)?,
         })
     }
 
     fn wire_size(&self) -> usize {
         1 + 4 * 8
             + 4 * 4
-            + 1
-            + self.fault.as_ref().map_or(0, |f| f.kind.wire_size() + 8)
-            + 1
-            + self.tenant.as_ref().map_or(0, |t| t.wire_size())
+            + self.fault.wire_size()
+            + self.tenant.wire_size()
             + 4
+            + self.deadline_ms.wire_size()
             + 1
-            + self.deadline_ms.map_or(0, |_| 8)
-            + 1
-            + 1
-            + self.job_id.map_or(0, |_| 8)
+            + self.job_id.wire_size()
     }
 }
 
@@ -1024,6 +1003,27 @@ mod tests {
             assert_eq!(encoded.len(), spec.wire_size());
             let decoded: JobSpec = wire::decode(&encoded).expect("decodes");
             assert_eq!(decoded, spec);
+        }
+    }
+
+    /// The spec's wire bytes are pinned: the default spec, and one with
+    /// every optional field set (fault, tenant, deadline, adaptive
+    /// check, client job id).
+    #[test]
+    fn spec_wire_bytes_are_pinned() {
+        let pinned = [
+            "00a086010000000000e803000000000000010000000000000000000000000000\
+             0004000000100000000900000002000000000000000000000000",
+            "0139300000000000000000100000000000ffffffffffffffff00100000000000\
+             0002000000400000000c00000000000000010b000000000000006475706e6569\
+             6768626f7207000000000000000106000000000000007465616d2d6107000000\
+             01c40900000000000001012a00000000000000",
+        ];
+        for (spec, hex) in specs().iter().zip(pinned) {
+            let encoded = wire::encode(spec);
+            let rendered: String = encoded.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(rendered, hex, "{spec:?}");
+            assert_eq!(encoded.len(), spec.wire_size());
         }
     }
 

@@ -11,18 +11,18 @@
 //! per-tenant aggregates, and the adaptive-tuner rungs, so a restarted
 //! world resumes exactly where the dead one stopped.
 //!
-//! The record framing this module pioneered now lives in
-//! `ccheck_obs::record_log` (shared with the metrics history log); the
-//! ledger keeps its own replay loop because validity here is semantic —
-//! a record must also parse, re-hash, and chain — not just framed.
-//! The extraction left on-disk bytes unchanged
-//! (`tests/record_log_compat.rs` replays a pre-extraction fixture and
-//! re-produces it byte-for-byte).
+//! Every byte of the file goes through `ccheck_obs::record_log` (shared
+//! with the metrics history log): this module is the semantic layer —
+//! sealing, chaining, the index, and the open visitor that ends the
+//! valid log at the first record that does not parse, re-hash and
+//! chain. The framing this module once wrote itself is unchanged on
+//! disk (`tests/record_log_compat.rs` replays a pre-extraction fixture
+//! and re-produces it byte-for-byte).
 //!
 //! The normative spec lives in `docs/PROTOCOL.md`:
 //!
 //! * §6.1 — on-disk framing (magic header, `len ‖ crc ‖ payload`
-//!   records, torn-tail truncation),
+//!   records, torn-tail truncation, positional appends),
 //! * §6.2 — canonical receipt serialization and `content_hash`,
 //! * §6.3 — per-tenant chain rules (`prev_hash`, [`chain_hash`],
 //!   [`GENESIS_HASH`]),
@@ -33,23 +33,21 @@
 //! example byte-for-byte.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read};
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 use ccheck_hashing::sha256_hex;
-use ccheck_obs::record_log::{decode_frame, encode_frame, MAX_RECORD_LEN};
+use ccheck_obs::record_log::{LogTimers, RecordLog, RecordReader};
 
 use crate::job::Receipt;
 
-/// Cached handles for the ledger's durability-latency histograms —
-/// appends are on the job-completion path, so each records as one
-/// atomic observe when collection is on and nothing otherwise.
+/// Cached handles for the ledger's metrics — appends are on the
+/// job-completion path, so each records as one atomic op when
+/// collection is on and nothing otherwise. The log records the append
+/// and fsync latencies into `timers`.
 struct LedgerObs {
     appends: std::sync::Arc<ccheck_obs::Counter>,
-    append_us: std::sync::Arc<ccheck_obs::Histogram>,
-    fsync_us: std::sync::Arc<ccheck_obs::Histogram>,
+    timers: LogTimers,
 }
 
 fn ledger_obs() -> &'static LedgerObs {
@@ -58,22 +56,20 @@ fn ledger_obs() -> &'static LedgerObs {
         let reg = ccheck_obs::registry();
         LedgerObs {
             appends: reg.counter("ledger.appends"),
-            append_us: reg.histogram("ledger.append_us"),
-            fsync_us: reg.histogram("ledger.fsync_us"),
+            timers: LogTimers {
+                append_us: reg.histogram("ledger.append_us"),
+                fsync_us: reg.histogram("ledger.fsync_us"),
+            },
         }
     })
 }
 
-/// File header identifying a receipt ledger (`docs/PROTOCOL.md` §6.1).
+/// Header line identifying a receipt ledger (`docs/PROTOCOL.md` §6.1).
 pub const MAGIC: &[u8] = b"ccheck-ledger-v1\n";
 
 /// `prev_hash` of the first entry in every tenant chain: 64 ASCII
 /// zeros, the width of a hex SHA-256 (`docs/PROTOCOL.md` §6.3).
 pub const GENESIS_HASH: &str = "0000000000000000000000000000000000000000000000000000000000000000";
-
-/// Appends between fsyncs by default (`Ledger::sync` and shutdown
-/// always flush the remainder).
-const DEFAULT_SYNC_EVERY: u32 = 8;
 
 /// The chain hash over one ledgered receipt (`docs/PROTOCOL.md` §6.3):
 /// SHA-256 over the ASCII concatenation `prev_hash ‖ content_hash`.
@@ -142,25 +138,14 @@ struct TenantChain {
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     offset: u64,
-    len: u32,
     /// The owning tenant's [`TenantChain::id`].
     tenant: u32,
 }
 
-/// A durable, append-only receipt ledger bound to one log file.
-///
-/// Appends seal receipts into their tenant's hash chain and frame them
-/// onto disk; opening an existing file replays it (tolerating a torn
-/// tail). **Index resident, receipts on disk:** what stays in memory is
-/// one 16-byte `(offset, len, tenant number)` entry per record, the id
-/// lookup into that list, and the per-tenant chain heads — a few dozen bytes
-/// per ledgered job, always mirroring the durable prefix of the log.
-/// [`Ledger::get`], [`Ledger::get_tenant_job`] and [`Ledger::chain`]
-/// read the receipts they return back from the file.
-#[derive(Debug)]
-pub struct Ledger {
-    file: File,
-    path: PathBuf,
+/// What the ledger keeps in memory: where every record is and each
+/// tenant's chain head.
+#[derive(Debug, Default)]
+struct Index {
     /// Every record, in append order.
     entries: Vec<Entry>,
     /// Service job id → index into `entries`.
@@ -169,12 +154,65 @@ pub struct Ledger {
     tenants: BTreeMap<String, TenantChain>,
     /// The largest ledgered admission sequence number.
     max_admit_seq: u64,
-    /// Length of the valid log: where the next record is written.
-    end: u64,
-    /// Appends since the last fsync.
-    unsynced: u32,
-    /// Fsync after this many appends (≥ 1).
-    sync_every: u32,
+}
+
+impl Index {
+    fn head(&self, tenant: &str) -> String {
+        self.tenants
+            .get(tenant)
+            .map_or_else(|| GENESIS_HASH.to_string(), |chain| chain.head.clone())
+    }
+
+    /// Whether a replayed record is the next link of its tenant's chain:
+    /// its content hash recomputes and its `prev_hash` is the head.
+    fn extends_chain(&self, receipt: &Receipt) -> bool {
+        receipt.content_hash.as_deref() == Some(receipt.content_hash().as_str())
+            && receipt.prev_hash.as_deref() == Some(self.head(&tenant_key(receipt)).as_str())
+    }
+
+    /// Index one sealed record sitting at `offset`: advance its tenant's
+    /// chain head and note where it is.
+    fn push(&mut self, receipt: &Receipt, offset: u64) {
+        let content = receipt.content_hash.as_deref().unwrap_or_default();
+        let prev = receipt.prev_hash.as_deref().unwrap_or_default();
+        let next_tenant = self.tenants.len() as u32;
+        let chain = self
+            .tenants
+            .entry(tenant_key(receipt))
+            .or_insert_with(|| TenantChain {
+                head: String::new(),
+                id: next_tenant,
+            });
+        chain.head = chain_hash(prev, content);
+        let tenant = chain.id;
+        self.by_id.insert(receipt.job_id, self.entries.len());
+        self.max_admit_seq = self.max_admit_seq.max(receipt.admit_seq);
+        self.entries.push(Entry { offset, tenant });
+    }
+
+    /// Where `(tenant key, job id)`'s record sits in `entries`.
+    fn tenant_job(&self, tenant: &str, job_id: u64) -> Option<usize> {
+        let id = self.tenants.get(tenant)?.id;
+        let &index = self.by_id.get(&job_id)?;
+        (self.entries[index].tenant == id).then_some(index)
+    }
+}
+
+/// A durable, append-only receipt ledger bound to one log file.
+///
+/// Appends seal receipts into their tenant's hash chain and frame them
+/// onto disk; opening an existing file replays it (tolerating a torn
+/// tail). **Index resident, receipts on disk:** what stays in memory is
+/// one 16-byte `(offset, tenant number)` entry per record, the id
+/// lookup into that list, and the per-tenant chain heads — a few dozen bytes
+/// per ledgered job, always mirroring the durable prefix of the log.
+/// [`Ledger::get`], [`Ledger::get_tenant_job`] and [`Ledger::chain`]
+/// read the receipts they return back from the file
+/// ([`RecordLog::read_at`]).
+#[derive(Debug)]
+pub struct Ledger {
+    log: RecordLog,
+    index: Index,
 }
 
 impl Ledger {
@@ -208,70 +246,33 @@ impl Ledger {
     /// [`Ledger::open`], handing every replayed receipt to `visit` in
     /// append order as it is indexed — how a restarting daemon refolds
     /// its aggregates and tuner rungs in the same single pass, since the
-    /// ledger itself keeps none of the receipts.
+    /// ledger itself keeps none of the receipts. A record that frames
+    /// but does not parse, re-hash or chain ends the valid log like any
+    /// other tail damage (§6.1): it and everything after it are
+    /// truncated.
     pub fn open_with(
         path: impl AsRef<Path>,
         mut visit: impl FnMut(&Receipt),
     ) -> io::Result<Ledger> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let mut ledger = Ledger {
-            file,
-            path,
-            entries: Vec::new(),
-            by_id: BTreeMap::new(),
-            tenants: BTreeMap::new(),
-            max_admit_seq: 0,
-            end: MAGIC.len() as u64,
-            unsynced: 0,
-            sync_every: DEFAULT_SYNC_EVERY,
-        };
-
-        if bytes.is_empty() {
-            ledger.file.write_all_at(MAGIC, 0)?;
-            ledger.file.sync_data()?;
-            return Ok(ledger);
-        }
-        if !bytes.starts_with(MAGIC) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} is not a ccheck receipt ledger", ledger.path.display()),
-            ));
-        }
-        let mut offset = MAGIC.len();
-        while let Some((receipt, next)) = decode_record(&bytes, offset) {
-            let content = receipt.content_hash.as_deref().unwrap_or_default();
-            let prev = receipt.prev_hash.as_deref().unwrap_or_default();
-            // A record that frames correctly but breaks the chain is
-            // treated like any other tail corruption: replay stops at
-            // the last coherent prefix (§6.1).
-            if receipt.content_hash() != content || ledger.head(&tenant_key(&receipt)) != prev {
-                break;
+        let mut index = Index::default();
+        let mut log = RecordLog::open_with(path, MAGIC, |offset, payload| {
+            match parse(payload).filter(|receipt| index.extends_chain(receipt)) {
+                Some(receipt) => {
+                    index.push(&receipt, offset);
+                    visit(&receipt);
+                    true
+                }
+                None => false,
             }
-            ledger.index(&receipt, (next - offset) as u32);
-            visit(&receipt);
-            offset = next;
-        }
-        if offset < bytes.len() {
-            // Torn tail from a mid-write crash: drop it so the next
-            // append starts on a clean record boundary.
-            ledger.file.set_len(offset as u64)?;
-            ledger.file.sync_data()?;
-        }
-        Ok(ledger)
+        })?;
+        log.set_timers(ledger_obs().timers.clone());
+        Ok(Ledger { log, index })
     }
 
     /// Read-only replay: parse every valid record of the ledger at
-    /// `path` and return the sealed receipts in append order, without
-    /// touching the file. Fails on a missing file or a bad header;
-    /// tolerates a torn tail exactly like [`Ledger::open`].
+    /// `path` and return the sealed receipts in append order, streaming
+    /// the file without touching it. Fails on a missing file or a bad
+    /// header; stops at a torn tail or an unparseable record.
     ///
     /// ```
     /// use ccheck_service::ledger::{verify_chain, Ledger};
@@ -290,18 +291,12 @@ impl Ledger {
     /// # Ok::<(), std::io::Error>(())
     /// ```
     pub fn replay(path: impl AsRef<Path>) -> io::Result<Vec<Receipt>> {
-        let bytes = std::fs::read(path.as_ref())?;
-        if !bytes.starts_with(MAGIC) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} is not a ccheck receipt ledger", path.as_ref().display()),
-            ));
-        }
         let mut receipts = Vec::new();
-        let mut offset = MAGIC.len();
-        while let Some((receipt, next)) = decode_record(&bytes, offset) {
+        for payload in RecordReader::open(path, MAGIC)? {
+            let Some(receipt) = parse(&payload?) else {
+                break;
+            };
             receipts.push(receipt);
-            offset = next;
         }
         Ok(receipts)
     }
@@ -310,8 +305,8 @@ impl Ledger {
     /// stamps `content_hash` (SHA-256 of the canonical bytes, §6.2) and
     /// `prev_hash` (the tenant's current chain head, §6.3), frames the
     /// sealed JSON onto disk, and returns the sealed receipt. Fsyncs
-    /// are batched (every `DEFAULT_SYNC_EVERY`th append); call
-    /// [`Ledger::sync`] to force one.
+    /// are batched (every 8th append by default); call [`Ledger::sync`]
+    /// to force one. A failed append leaves the ledger as it was.
     ///
     /// Appending a `(tenant, job_id)` that is already ledgered is a
     /// caller bug (the daemon answers those from the ledger instead,
@@ -339,7 +334,7 @@ impl Ledger {
     /// ```
     pub fn append(&mut self, mut receipt: Receipt) -> io::Result<Receipt> {
         let tenant = tenant_key(&receipt);
-        if self.tenant_job(&tenant, receipt.job_id).is_some() {
+        if self.index.tenant_job(&tenant, receipt.job_id).is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!(
@@ -349,56 +344,13 @@ impl Ledger {
             ));
         }
         receipt.content_hash = Some(receipt.content_hash());
-        receipt.prev_hash = Some(self.head(&tenant));
-
-        let t_append = std::time::Instant::now();
-        let payload = receipt.to_json().render().into_bytes();
-        debug_assert!(payload.len() < MAX_RECORD_LEN as usize);
-        // The shared crash-safe framing (`ccheck_obs::record_log`,
-        // extracted from this module) — byte-identical to the
-        // pre-extraction format, asserted by the fixture-replay
-        // regression test below. Written at `end`, not at a file
-        // cursor: a failed partial write is overwritten by the next
-        // append, so the index's offsets stay true.
-        let frame = encode_frame(&payload);
-        self.file.write_all_at(&frame, self.end)?;
+        receipt.prev_hash = Some(self.index.head(&tenant));
+        let offset = self.log.append(receipt.to_json().render().as_bytes())?;
         if ccheck_obs::enabled() {
-            let obs = ledger_obs();
-            obs.appends.inc();
-            obs.append_us.observe(t_append.elapsed().as_micros() as u64);
+            ledger_obs().appends.inc();
         }
-        self.index(&receipt, frame.len() as u32);
-        self.unsynced += 1;
-        if self.unsynced >= self.sync_every {
-            self.sync()?;
-        }
+        self.index.push(&receipt, offset);
         Ok(receipt)
-    }
-
-    /// Index one sealed record of `frame_len` bytes sitting at `end`:
-    /// advance its tenant's chain head, note where it is, and move
-    /// `end` past it.
-    fn index(&mut self, receipt: &Receipt, frame_len: u32) {
-        let content = receipt.content_hash.as_deref().unwrap_or_default();
-        let prev = receipt.prev_hash.as_deref().unwrap_or_default();
-        let next_tenant = self.tenants.len() as u32;
-        let chain = self
-            .tenants
-            .entry(tenant_key(receipt))
-            .or_insert_with(|| TenantChain {
-                head: String::new(),
-                id: next_tenant,
-            });
-        chain.head = chain_hash(prev, content);
-        let tenant = chain.id;
-        self.by_id.insert(receipt.job_id, self.entries.len());
-        self.max_admit_seq = self.max_admit_seq.max(receipt.admit_seq);
-        self.entries.push(Entry {
-            offset: self.end,
-            len: frame_len,
-            tenant,
-        });
-        self.end += u64::from(frame_len);
     }
 
     /// Read the `index`-th record back from the log. `None` (and an
@@ -406,56 +358,41 @@ impl Ledger {
     /// the record was framed, CRC-checked and chain-verified when it was
     /// indexed.
     fn read(&self, index: usize) -> Option<Receipt> {
-        let Entry { offset, len, .. } = self.entries[index];
-        let mut frame = vec![0u8; len as usize];
-        let receipt = self
-            .file
-            .read_exact_at(&mut frame, offset)
-            .ok()
-            .and_then(|()| decode_record(&frame, 0));
+        let offset = self.index.entries[index].offset;
+        let receipt = self.log.read_at(offset).and_then(|payload| parse(&payload));
         if receipt.is_none() {
             ccheck_obs::error!(
                 "ledger",
                 "{}: record {index} at offset {offset} no longer reads back",
-                self.path.display()
+                self.path().display()
             );
         }
-        receipt.map(|(receipt, _)| receipt)
+        receipt
     }
 
     /// Force the batched appends to durable storage.
     pub fn sync(&mut self) -> io::Result<()> {
-        if self.unsynced > 0 {
-            let t_sync = std::time::Instant::now();
-            self.file.sync_data()?;
-            if ccheck_obs::enabled() {
-                ledger_obs()
-                    .fsync_us
-                    .observe(t_sync.elapsed().as_micros() as u64);
-            }
-            self.unsynced = 0;
-        }
-        Ok(())
+        self.log.sync()
     }
 
     /// Fsync after this many appends (clamped to ≥ 1; 1 = every append).
     pub fn set_sync_every(&mut self, every: u32) {
-        self.sync_every = every.max(1);
+        self.log.set_sync_every(every);
     }
 
     /// The ledger's log file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Number of ledgered receipts.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.entries.len()
     }
 
     /// Whether the ledger holds no receipts yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.entries.is_empty()
     }
 
     /// The sealed receipt for a service job id, read back from the log.
@@ -476,36 +413,30 @@ impl Ledger {
     /// # Ok::<(), std::io::Error>(())
     /// ```
     pub fn get(&self, job_id: u64) -> Option<Receipt> {
-        self.by_id.get(&job_id).and_then(|&i| self.read(i))
+        self.index.by_id.get(&job_id).and_then(|&i| self.read(i))
     }
 
     /// Whether a receipt is ledgered under this service job id (no file
     /// access).
     pub fn contains(&self, job_id: u64) -> bool {
-        self.by_id.contains_key(&job_id)
+        self.index.by_id.contains_key(&job_id)
     }
 
     /// The sealed receipt for `(tenant key, job id)` — the idempotency
     /// lookup (`docs/PROTOCOL.md` §7). The anonymous default tenant is
     /// keyed `""`.
     pub fn get_tenant_job(&self, tenant: &str, job_id: u64) -> Option<Receipt> {
-        self.read(self.tenant_job(tenant, job_id)?)
-    }
-
-    /// Where `(tenant key, job id)`'s record sits in `entries`.
-    fn tenant_job(&self, tenant: &str, job_id: u64) -> Option<usize> {
-        let id = self.tenants.get(tenant)?.id;
-        let &index = self.by_id.get(&job_id)?;
-        (self.entries[index].tenant == id).then_some(index)
+        self.read(self.index.tenant_job(tenant, job_id)?)
     }
 
     /// One tenant's chain in append order (what `verify_chain` takes).
     pub fn chain(&self, tenant: &str) -> Vec<Receipt> {
-        let Some(id) = self.tenants.get(tenant).map(|chain| chain.id) else {
+        let Some(id) = self.index.tenants.get(tenant).map(|chain| chain.id) else {
             return Vec::new();
         };
-        (0..self.entries.len())
-            .filter(|&i| self.entries[i].tenant == id)
+        let entries = &self.index.entries;
+        (0..entries.len())
+            .filter(|&i| entries[i].tenant == id)
             .filter_map(|i| self.read(i))
             .collect()
     }
@@ -513,45 +444,40 @@ impl Ledger {
     /// A tenant's current chain head hash ([`GENESIS_HASH`] if the
     /// tenant has no entries).
     pub fn head(&self, tenant: &str) -> String {
-        self.tenants
-            .get(tenant)
-            .map_or_else(|| GENESIS_HASH.to_string(), |chain| chain.head.clone())
+        self.index.head(tenant)
     }
 
     /// Tenant keys with at least one ledgered receipt, sorted.
     pub fn tenants(&self) -> Vec<String> {
-        self.tenants.keys().cloned().collect()
+        self.index.tenants.keys().cloned().collect()
     }
 
     /// The largest ledgered job id (0 when empty) — the floor for the
     /// restarted service's id allocator.
     pub fn max_job_id(&self) -> u64 {
-        self.by_id.keys().next_back().copied().unwrap_or(0)
+        self.index.by_id.keys().next_back().copied().unwrap_or(0)
     }
 
     /// The largest ledgered admission sequence number (0 when empty) —
     /// the restarted world continues numbering from here.
     pub fn max_admit_seq(&self) -> u64 {
-        self.max_admit_seq
+        self.index.max_admit_seq
     }
 }
 
-/// Decode the record at `offset`: `Some((receipt, next_offset))` for a
-/// complete, CRC-valid, parseable record, `None` for end-of-log or any
-/// framing damage (a torn length word, short payload, CRC mismatch, or
-/// unparseable JSON all read as "the log ends here").
-fn decode_record(bytes: &[u8], offset: usize) -> Option<(Receipt, usize)> {
-    let (payload, next) = decode_frame(bytes, offset)?;
+/// Parse one record payload as a receipt; `None` for bytes that are not
+/// a receipt's JSON (the open visitor and [`Ledger::replay`] end the log
+/// there).
+fn parse(payload: &[u8]) -> Option<Receipt> {
     let text = std::str::from_utf8(payload).ok()?;
-    let json = crate::json::parse(text).ok()?;
-    let receipt = Receipt::from_json(&json).ok()?;
-    Some((receipt, next))
+    Receipt::from_json(&crate::json::parse(text).ok()?).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::{JobSpec, Verdict};
+    use std::path::PathBuf;
 
     /// Unique temp path per test (no global state, no clock).
     fn temp_path(tag: &str) -> PathBuf {
